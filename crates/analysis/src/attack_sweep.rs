@@ -2,7 +2,7 @@
 //! worlds, rolled into the Table-3-style [`AttackMatrix`] of per-component
 //! amplification factors.
 //!
-//! Built on [`inetgen::run_sharded`] like the census and campaign sweeps.
+//! Built on [`inetgen::ShardWorldCache`] like the census and campaign sweeps.
 //! Per shard world:
 //!
 //! 1. sensors 1 and 2 are installed on their fixture nodes and a
@@ -348,7 +348,9 @@ fn shard_attack_pass(spec: ShardSpec, world: &mut Internet) -> ShardAttackOutput
 /// Run the §6 attack experiment sharded `shards` ways and merge into the
 /// [`AttackMatrix`] — invariant in the shard count.
 pub fn run_attacks_sharded(gen_config: &GenConfig, shards: u32) -> AttackMatrix {
-    merge_attack_outputs(inetgen::run_sharded(gen_config, shards, shard_attack_pass))
+    merge_attack_outputs(
+        ShardWorldCache::new(gen_config.clone()).run_once(shards, shard_attack_pass),
+    )
 }
 
 /// [`run_attacks_sharded`] over a warm [`ShardWorldCache`]: worlds
@@ -363,7 +365,7 @@ pub fn run_attacks_cached(cache: &mut ShardWorldCache, shards: u32) -> AttackMat
 /// ascending shard order, the sensor row sums.
 fn merge_attack_outputs(run: ShardedRun<ShardAttackOutput>) -> AttackMatrix {
     let mut matrix = AttackMatrix::default();
-    for output in run.outputs {
+    for output in run.into_complete().0 {
         for (key, cell) in output.cells {
             matrix.cells.entry(key).or_default().absorb(&cell);
         }

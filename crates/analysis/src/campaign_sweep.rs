@@ -3,7 +3,7 @@
 //! with the transactional census riding in the same warm simulators and
 //! every scanner tapped to an in-memory pcap.
 //!
-//! Built on [`inetgen::run_sharded`], like the census and the DNSRoute++
+//! Built on [`inetgen::ShardWorldCache`], like the census and the DNSRoute++
 //! sweep. Per shard world:
 //!
 //! 1. the study stack is already deployed by the generator; the three
@@ -37,6 +37,7 @@
 
 use crate::census::{campaign_country_counts, census_part, merge_census_parts, Census};
 use crate::pcap_ingest::{campaign_report_from_pcap, census_from_captures, IngestError};
+use crate::sensor_sweep::SensorSweep;
 use crate::table::TextTable;
 use inetgen::build::scanner_addrs::SensorAddrs;
 use inetgen::{Fixtures, GeoDb, Internet, ShardSpec, ShardWorldCache, ShardedRun};
@@ -350,25 +351,36 @@ pub(crate) fn merge_reports(
     merged
 }
 
-/// One shard's contribution, before the deterministic merge.
+/// One shard's contribution to the campaign sweep, before the
+/// deterministic merge.
 struct ShardOutput {
-    shard: u32,
     census: Census,
-    campaigns: Vec<(Campaign, CampaignReport, Vec<u8>)>,
-    sensors: SensorTotals,
     scan_capture: Vec<u8>,
+    passes: ShardPasses,
+}
+
+/// The campaign passes one shard ran, and its sensors' counters after
+/// them.
+pub(crate) struct ShardPasses {
+    shard: u32,
+    passes: Vec<(Campaign, CampaignReport, Vec<u8>)>,
+    sensors: SensorTotals,
     addrs: SensorAddrs,
 }
 
-/// Run the three campaign passes over `targets` from the world's campaign
-/// fixture nodes, tapped, spaced [`CAMPAIGN_EPOCH`] apart. Shared by the
-/// campaign and sensor sweeps (and, inlined, by the unsharded reference
-/// path the determinism tests compare against).
+/// Run the three campaign passes over `targets` — plus the sensor
+/// addresses on the [`SENSOR_SHARD`] — from the world's campaign fixture
+/// nodes, tapped, spaced [`CAMPAIGN_EPOCH`] apart. Shared by the campaign
+/// and sensor sweeps (and, inlined, by the unsharded reference path the
+/// determinism tests compare against).
 pub(crate) fn run_campaign_passes(
+    spec: ShardSpec,
     world: &mut Internet,
-    targets: &[Ipv4Addr],
-) -> Vec<(Campaign, CampaignReport, Vec<u8>)> {
-    Campaign::all()
+    mut targets: Vec<Ipv4Addr>,
+) -> ShardPasses {
+    let addrs = world.fixtures.sensor_addrs;
+    targets.extend(sensor_targets(spec, addrs));
+    let passes = Campaign::all()
         .into_iter()
         .enumerate()
         .map(|(i, campaign)| {
@@ -388,7 +400,42 @@ pub(crate) fn run_campaign_passes(
             let capture = world.sim.take_capture(node).expect("campaign tapped");
             (campaign, report, capture)
         })
-        .collect()
+        .collect();
+    ShardPasses {
+        shard: spec.index,
+        passes,
+        sensors: collect_sensor_totals(&world.sim, &world.fixtures),
+        addrs,
+    }
+}
+
+/// The deterministic merge of every shard's campaign passes, in ascending
+/// shard order: reports fold per campaign, sensor counters sum, captures
+/// keep shard order. Shared by the campaign and sensor sweeps.
+pub(crate) fn merge_campaign_passes(shards: Vec<ShardPasses>) -> SensorSweep {
+    let mut shard_reports = Vec::new();
+    let mut sensors = SensorTotals::default();
+    let mut captures = Vec::with_capacity(shards.len());
+    let mut addrs = None;
+    for shard in shards {
+        let mut shard_captures = Vec::with_capacity(shard.passes.len());
+        for (campaign, report, capture) in shard.passes {
+            shard_reports.push((campaign, report));
+            shard_captures.push((campaign, capture));
+        }
+        sensors.absorb(&shard.sensors);
+        captures.push((shard.shard, shard_captures));
+        addrs.get_or_insert(shard.addrs);
+    }
+    let reports = merge_reports(shard_reports);
+    let sensor_addrs = addrs.expect("at least one shard");
+    SensorSweep {
+        matrix: DetectionMatrix::from_reports(&reports, sensor_addrs),
+        reports,
+        sensors,
+        captures,
+        sensor_addrs,
+    }
 }
 
 fn shard_campaign_pass(
@@ -397,7 +444,6 @@ fn shard_campaign_pass(
     classifier: &ClassifierConfig,
 ) -> ShardOutput {
     install_sensors(world);
-    let addrs = world.fixtures.sensor_addrs;
 
     // The shard's transactional scan, tapped; the records correlate and
     // classify in-worker into this shard's census part, the capture feeds
@@ -414,17 +460,11 @@ fn shard_campaign_pass(
 
     // Campaign passes over the shard partition; the designated shard also
     // probes the sensors.
-    let mut targets = world.targets.clone();
-    targets.extend(sensor_targets(spec, addrs));
-    let campaigns = run_campaign_passes(world, &targets);
-
+    let targets = world.targets.clone();
     ShardOutput {
-        shard: spec.index,
         census,
-        campaigns,
-        sensors: collect_sensor_totals(&world.sim, &world.fixtures),
         scan_capture,
-        addrs,
+        passes: run_campaign_passes(spec, world, targets),
     }
 }
 
@@ -439,9 +479,11 @@ pub fn run_campaign_sharded(
     shards: u32,
     classifier: &ClassifierConfig,
 ) -> CampaignSweep {
-    merge_campaign_outputs(inetgen::run_sharded(gen_config, shards, |spec, world| {
-        shard_campaign_pass(spec, world, classifier)
-    }))
+    merge_campaign_outputs(
+        ShardWorldCache::new(gen_config.clone()).run_once(shards, |spec, world| {
+            shard_campaign_pass(spec, world, classifier)
+        }),
+    )
 }
 
 /// [`run_campaign_sharded`] over a warm [`ShardWorldCache`]: shard worlds
@@ -464,38 +506,34 @@ pub fn run_campaign_cached(
 /// concatenate, reports fold per campaign, sensor counters sum, captures
 /// keep ascending shard order.
 fn merge_campaign_outputs(run: ShardedRun<ShardOutput>) -> CampaignSweep {
-    let mut census_parts = Vec::with_capacity(run.outputs.len());
-    let mut shard_reports = Vec::new();
-    let mut sensors = SensorTotals::default();
-    let mut captures = Vec::with_capacity(run.outputs.len());
-    let mut addrs = None;
-    for output in run.outputs {
+    let (outputs, geo) = run.into_complete();
+    let mut census_parts = Vec::with_capacity(outputs.len());
+    let mut scan_captures = Vec::with_capacity(outputs.len());
+    let mut passes = Vec::with_capacity(outputs.len());
+    for output in outputs {
         census_parts.push(output.census);
-        let mut shard_campaigns = Vec::with_capacity(output.campaigns.len());
-        for (campaign, report, capture) in output.campaigns {
-            shard_reports.push((campaign, report));
-            shard_campaigns.push((campaign, capture));
-        }
-        sensors.absorb(&output.sensors);
-        captures.push(ShardCaptures {
-            shard: output.shard,
-            scan: output.scan_capture,
-            campaigns: shard_campaigns,
-        });
-        addrs.get_or_insert(output.addrs);
+        scan_captures.push(output.scan_capture);
+        passes.push(output.passes);
     }
-    let reports = merge_reports(shard_reports);
-    let sensor_addrs = addrs.expect("at least one shard");
-    let census = merge_census_parts(census_parts);
-    let matrix = DetectionMatrix::from_reports(&reports, sensor_addrs);
+    let merged = merge_campaign_passes(passes);
+    let captures = merged
+        .captures
+        .into_iter()
+        .zip(scan_captures)
+        .map(|((shard, campaigns), scan)| ShardCaptures {
+            shard,
+            scan,
+            campaigns,
+        })
+        .collect();
     CampaignSweep {
-        census,
-        reports,
-        matrix,
-        sensors,
+        census: merge_census_parts(census_parts),
+        reports: merged.reports,
+        matrix: merged.matrix,
+        sensors: merged.sensors,
         captures,
-        geo: run.geo,
-        sensor_addrs,
+        geo,
+        sensor_addrs: merged.sensor_addrs,
     }
 }
 

@@ -5,7 +5,9 @@
 
 use inetgen::{GeoDb, Internet, ShardWorldCache};
 use scanner::records::{ProbeRecord, ResponseRecord};
-use scanner::{classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, Transaction, Verdict};
+use scanner::{
+    classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, ScanOutcome, Transaction, Verdict,
+};
 use std::net::Ipv4Addr;
 
 /// One classified probe, enriched with mapping data.
@@ -80,9 +82,18 @@ impl Census {
             .collect();
         Census {
             rows,
-            unmatched_responses: 0,
-            late_responses: 0,
-            late_answers_discarded: 0,
+            ..Census::default()
+        }
+    }
+
+    /// Build from a correlated scan: its transactions become rows, and
+    /// its unmatched, late and discarded-answer counts carry over.
+    pub fn from_outcome(outcome: &ScanOutcome, geo: &GeoDb, config: &ClassifierConfig) -> Self {
+        Census {
+            unmatched_responses: outcome.unmatched_responses,
+            late_responses: outcome.late_responses,
+            late_answers_discarded: outcome.late_answers_discarded,
+            ..Census::from_transactions(&outcome.transactions, geo, config)
         }
     }
 
@@ -165,11 +176,7 @@ impl Census {
 pub fn run_census(internet: &mut Internet, config: &ClassifierConfig) -> Census {
     let scan = census_scan_config(internet);
     let outcome = scanner::run_scan(&mut internet.sim, internet.fixtures.scanner, scan);
-    let mut census = Census::from_transactions(&outcome.transactions, &internet.geo, config);
-    census.unmatched_responses = outcome.unmatched_responses;
-    census.late_responses = outcome.late_responses;
-    census.late_answers_discarded = outcome.late_answers_discarded;
-    census
+    Census::from_outcome(&outcome, &internet.geo, config)
 }
 
 /// Correlate one shard's raw record streams and classify them into that
@@ -189,11 +196,7 @@ pub(crate) fn census_part(
     config: &ClassifierConfig,
 ) -> Census {
     let outcome = scanner::correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
-    let mut part = Census::from_transactions(&outcome.transactions, geo, config);
-    part.unmatched_responses = outcome.unmatched_responses;
-    part.late_responses = outcome.late_responses;
-    part.late_answers_discarded = outcome.late_answers_discarded;
-    part
+    Census::from_outcome(&outcome, geo, config)
 }
 
 /// The scan configuration a census world gets: the paper's defaults on a
@@ -244,7 +247,7 @@ pub(crate) fn merge_census_parts(parts: Vec<Census>) -> Census {
 /// worker* — only classified census rows survive the shard, so the
 /// merge is a concatenation and peak memory stays per-shard-sized.
 ///
-/// Built on [`inetgen::run_sharded`], the shared sharded experiment
+/// Built on [`ShardWorldCache::run_once`], the shared sharded experiment
 /// runner: generation *and* scanning happen on the workers — each shard's
 /// simulator lives and dies on one thread — so the wall-clock cost of a
 /// large census divides by the worker count. Classification counts are
@@ -257,10 +260,9 @@ pub fn run_census_sharded(
     shards: u32,
     config: &ClassifierConfig,
 ) -> Census {
-    let run = inetgen::run_sharded(gen_config, shards, |_, world| {
-        census_shard_pass(world, config)
-    });
-    merge_census_parts(run.outputs)
+    let run = ShardWorldCache::new(gen_config.clone())
+        .run_once(shards, |_, world| census_shard_pass(world, config));
+    merge_census_parts(run.into_complete().0)
 }
 
 /// [`run_census_sharded`] over a warm [`ShardWorldCache`]: the first call
@@ -274,7 +276,7 @@ pub fn run_census_cached(
     config: &ClassifierConfig,
 ) -> Census {
     let run = cache.run(shards, |_, world| census_shard_pass(world, config));
-    merge_census_parts(run.outputs)
+    merge_census_parts(run.into_complete().0)
 }
 
 /// The offline-ingest tail: stream per-shard record collections through
@@ -289,11 +291,7 @@ pub(crate) fn census_from_shard_records(
     config: &ClassifierConfig,
 ) -> Census {
     let outcome = scanner::merge_shard_records(streams, ScanConfig::DEFAULT_TIMEOUT);
-    let mut census = Census::from_transactions(&outcome.transactions, geo, config);
-    census.unmatched_responses = outcome.unmatched_responses;
-    census.late_responses = outcome.late_responses;
-    census.late_answers_discarded = outcome.late_answers_discarded;
-    census
+    Census::from_outcome(&outcome, geo, config)
 }
 
 /// Run a Shadowserver-style campaign pass over the same Internet and

@@ -9,7 +9,7 @@
 //! that wave limit, because every shard world owns its own port space
 //! *and* its own worker thread.
 //!
-//! Built on [`inetgen::run_sharded`]: each shard runs the transactional
+//! Built on [`inetgen::ShardWorldCache`]: each shard runs the transactional
 //! scan, correlates and classifies its own transactions *once* in-worker
 //! — yielding both that shard's census part and its transparent-forwarder
 //! targets — and traces them with [`dnsroute::run_dnsroute`] in the same
@@ -21,10 +21,10 @@
 //! report are identical for any shard count — and `K = 1` reproduces the
 //! classic unsharded census → trace pipeline bit for bit.
 
-use crate::census::{census_part, merge_census_parts, Census};
+use crate::census::{census_shard_pass, merge_census_parts, Census};
 use dnsroute::{DnsRouteConfig, ForwarderPath, SanitizeStats, TraceResult};
 use inetgen::{GeoDb, Internet, ShardWorldCache, ShardedRun};
-use scanner::{ClassifierConfig, ScanConfig};
+use scanner::ClassifierConfig;
 
 /// Everything a sharded census → DNSRoute++ sweep produces.
 #[derive(Debug)]
@@ -52,10 +52,10 @@ impl ShardedSweep {
     }
 }
 
-/// One shard's §5 experiment: transactional scan → one correlation +
-/// classification pass (producing this shard's census part *and* its
-/// transparent-forwarder targets, in probe order) → DNSRoute++ over those
-/// targets in the same, already warm simulator.
+/// One shard's §5 experiment: the shard's census pass (transactional
+/// scan → one correlation + classification pass, producing this shard's
+/// census part *and* its transparent-forwarder targets, in probe order) →
+/// DNSRoute++ over those targets in the same, already warm simulator.
 ///
 /// The scan's records are correlated exactly once; the census part the
 /// discovery pass produces is the same rows the merged census lists for
@@ -64,10 +64,7 @@ pub(crate) fn dnsroute_shard_pass(
     world: &mut Internet,
     classifier: &ClassifierConfig,
 ) -> (Census, Vec<TraceResult>) {
-    let scan = ScanConfig::new(world.targets.clone());
-    let (probes, responses, _retry) =
-        scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, scan);
-    let part = census_part(probes, responses, &world.geo, classifier);
+    let part = census_shard_pass(world, classifier);
     let traces = dnsroute::run_dnsroute(
         &mut world.sim,
         world.fixtures.scanner,
@@ -80,16 +77,12 @@ pub(crate) fn dnsroute_shard_pass(
 /// concatenate (ascending shard order), traces concatenate in the same
 /// order.
 fn merge_sweep(run: ShardedRun<(Census, Vec<TraceResult>)>) -> ShardedSweep {
-    let mut parts = Vec::with_capacity(run.outputs.len());
-    let mut traces = Vec::new();
-    for (part, shard_traces) in run.outputs {
-        parts.push(part);
-        traces.extend(shard_traces);
-    }
+    let (outputs, geo) = run.into_complete();
+    let (parts, traces): (Vec<_>, Vec<Vec<_>>) = outputs.into_iter().unzip();
     ShardedSweep {
         census: merge_census_parts(parts),
-        traces,
-        geo: run.geo,
+        traces: traces.into_iter().flatten().collect(),
+        geo,
     }
 }
 
@@ -109,9 +102,10 @@ pub fn run_dnsroute_sharded(
     shards: u32,
     classifier: &ClassifierConfig,
 ) -> ShardedSweep {
-    merge_sweep(inetgen::run_sharded(gen_config, shards, |_, world| {
-        dnsroute_shard_pass(world, classifier)
-    }))
+    merge_sweep(
+        ShardWorldCache::new(gen_config.clone())
+            .run_once(shards, |_, world| dnsroute_shard_pass(world, classifier)),
+    )
 }
 
 /// [`run_dnsroute_sharded`] over a warm [`ShardWorldCache`]: shard worlds

@@ -218,7 +218,7 @@ pub fn run_resilience_sweep(
                 cell
             });
             let merged = matrix.cells.entry((loss, retries)).or_default();
-            for cell in &run.outputs {
+            for cell in &run.into_complete().0 {
                 merged.absorb(cell);
             }
         }

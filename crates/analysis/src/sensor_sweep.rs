@@ -1,6 +1,6 @@
 //! The sharded sensor experiment: the §3.1 controlled experiment (three
 //! honeypot sensors probed by the three campaign emulations) driven over
-//! shard worlds on the shared [`inetgen::run_sharded`] runner.
+//! shard worlds on the shared [`inetgen::ShardWorldCache`] runner.
 //!
 //! The sensors are fixtures, replicated into every shard world; the
 //! campaign passes probe them from the designated
@@ -13,10 +13,11 @@
 //! ([`SensorSweep::capture_matrix`]).
 
 use crate::campaign_sweep::{
-    collect_sensor_totals, install_sensors, sensor_targets, DetectionMatrix, SensorTotals,
+    install_sensors, merge_campaign_passes, run_campaign_passes, DetectionMatrix, SensorTotals,
 };
 use crate::pcap_ingest::IngestError;
 use inetgen::build::scanner_addrs::SensorAddrs;
+use inetgen::ShardWorldCache;
 use scanner::{Campaign, CampaignReport};
 
 /// One campaign pass's capture, labelled with its campaign.
@@ -58,41 +59,9 @@ impl SensorSweep {
 /// epoch-spaced); reports, counters, and captures merge in deterministic
 /// shard order.
 pub fn run_sensors_sharded(gen_config: &inetgen::GenConfig, shards: u32) -> SensorSweep {
-    let run = inetgen::run_sharded(gen_config, shards, |spec, world| {
+    let run = ShardWorldCache::new(gen_config.clone()).run_once(shards, |spec, world| {
         install_sensors(world);
-        let addrs = world.fixtures.sensor_addrs;
-        let targets = sensor_targets(spec, addrs);
-        let campaigns = crate::campaign_sweep::run_campaign_passes(world, &targets);
-        (
-            spec.index,
-            campaigns,
-            collect_sensor_totals(&world.sim, &world.fixtures),
-            addrs,
-        )
+        run_campaign_passes(spec, world, Vec::new())
     });
-
-    let mut shard_reports = Vec::new();
-    let mut sensors = SensorTotals::default();
-    let mut captures = Vec::with_capacity(run.outputs.len());
-    let mut addrs = None;
-    for (shard, campaigns, shard_sensors, shard_addrs) in run.outputs {
-        let mut shard_captures = Vec::with_capacity(campaigns.len());
-        for (campaign, report, capture) in campaigns {
-            shard_reports.push((campaign, report));
-            shard_captures.push((campaign, capture));
-        }
-        sensors.absorb(&shard_sensors);
-        captures.push((shard, shard_captures));
-        addrs.get_or_insert(shard_addrs);
-    }
-    let reports = crate::campaign_sweep::merge_reports(shard_reports);
-    let sensor_addrs = addrs.expect("at least one shard");
-    let matrix = DetectionMatrix::from_reports(&reports, sensor_addrs);
-    SensorSweep {
-        matrix,
-        reports,
-        sensors,
-        captures,
-        sensor_addrs,
-    }
+    merge_campaign_passes(run.into_complete().0)
 }

@@ -8,6 +8,7 @@
 //! fall — is what EXPERIMENTS.md compares.
 
 use inetgen::{CountrySelection, GenConfig, Internet};
+use std::path::{Path, PathBuf};
 
 /// The standard bench world: the full country table at 1:500 scale
 /// (≈4.3k ODNS hosts). Deterministic.
@@ -63,13 +64,30 @@ pub fn banner(what: &str, paper: &str) {
     println!("================================================================");
 }
 
-/// Path of the shared perf artifact: `BENCH_simcore.json` at the
-/// workspace root, overridable via `BENCH_SIMCORE_OUT`.
+/// Path of the shared perf artifact: `BENCH_simcore.json` at the root of
+/// the workspace the bench runs in, found from the working directory at
+/// run time, so a bench binary built in one checkout and run in another
+/// writes into the one it runs in. `BENCH_SIMCORE_OUT` overrides it.
 pub fn bench_artifact_path() -> String {
     // detlint::allow(env-dependent): the artifact path is harness
     // plumbing (where results land), not measured behaviour.
-    std::env::var("BENCH_SIMCORE_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json").into())
+    std::env::var("BENCH_SIMCORE_OUT").unwrap_or_else(|_| {
+        let cwd = std::env::current_dir().unwrap_or_default();
+        artifact_path_from(&cwd).to_string_lossy().into_owned()
+    })
+}
+
+/// `BENCH_simcore.json` in the nearest directory at or above `dir` whose
+/// `Cargo.toml` declares a `[workspace]`, or in `dir` if none does.
+fn artifact_path_from(dir: &Path) -> PathBuf {
+    let is_workspace_root = |d: &&Path| {
+        std::fs::read_to_string(d.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    dir.ancestors()
+        .find(is_workspace_root)
+        .unwrap_or(dir)
+        .join("BENCH_simcore.json")
 }
 
 /// Whether a bench's quick mode is requested via its `*_QUICK` switch
@@ -297,7 +315,8 @@ pub fn parse_sections(s: &str) -> Option<Vec<(String, String)>> {
 #[cfg(test)]
 mod tests {
     use super::{
-        merge_bench_section_at, parse_sections, scaling_ratio, section_mode, section_sweeps,
+        artifact_path_from, merge_bench_section_at, parse_sections, scaling_ratio, section_mode,
+        section_sweeps,
     };
 
     fn artifact_keys(path: &str) -> Vec<String> {
@@ -311,6 +330,34 @@ mod tests {
 
     fn section_of<'a>(sections: &'a [(String, String)], key: &str) -> &'a str {
         &sections.iter().find(|(k, _)| k == key).unwrap().1
+    }
+
+    #[test]
+    fn artifact_path_resolves_to_the_enclosing_workspace_root() {
+        let root = std::env::temp_dir().join("bench_artifact_path_test");
+        let _ = std::fs::remove_dir_all(&root);
+        let ws = root.join("checkout");
+        let member_src = ws.join("crates").join("member").join("src");
+        std::fs::create_dir_all(&member_src).unwrap();
+        std::fs::write(
+            ws.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/member\"]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            ws.join("crates").join("member").join("Cargo.toml"),
+            "[package]\nname = \"member\"\n",
+        )
+        .unwrap();
+        let expected = ws.join("BENCH_simcore.json");
+        assert_eq!(artifact_path_from(&ws), expected);
+        assert_eq!(artifact_path_from(&member_src), expected);
+        assert_eq!(artifact_path_from(&ws.join("crates")), expected);
+        // Outside any workspace the artifact lands in the directory itself.
+        let loose = root.join("loose");
+        std::fs::create_dir_all(&loose).unwrap();
+        assert_eq!(artifact_path_from(&loose), loose.join("BENCH_simcore.json"));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

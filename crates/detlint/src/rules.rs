@@ -37,7 +37,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "ad-hoc-spawn",
-        summary: "thread::spawn / .spawn() outside the sanctioned run_sharded worker pool",
+        summary: "thread::spawn / .spawn() outside the sanctioned ShardWorldCache worker pool",
     },
     Rule {
         id: "derive-hash-key",
@@ -152,7 +152,7 @@ pub fn run_rules(lexed: &Lexed, ordered: bool) -> Vec<RawFinding> {
                 push(
                     "ad-hoc-spawn",
                     i - 2,
-                    "`thread::spawn` outside the sanctioned `inetgen::run_sharded` worker pool"
+                    "`thread::spawn` outside the sanctioned `inetgen::ShardWorldCache` worker pool"
                         .into(),
                 );
             }
@@ -160,7 +160,8 @@ pub fn run_rules(lexed: &Lexed, ordered: bool) -> Vec<RawFinding> {
                 push(
                     "ad-hoc-spawn",
                     i,
-                    "`.spawn()` outside the sanctioned `inetgen::run_sharded` worker pool".into(),
+                    "`.spawn()` outside the sanctioned `inetgen::ShardWorldCache` worker pool"
+                        .into(),
                 );
             }
             "HashMap" | "HashSet" | "BTreeMap" | "BTreeSet" => {

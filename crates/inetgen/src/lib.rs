@@ -37,8 +37,5 @@ pub use countries::{
     by_code, by_transparent_desc, CountryProfile, OtherProfile, Region, ResolverMix, COUNTRIES,
 };
 pub use geodb::{AsnInfo, GeoDb};
-pub use shard::{
-    generate_partition, run_sharded, run_sharded_degraded, shard_of_country, DegradedRun,
-    ShardFailure, ShardSpec, ShardWorldCache, ShardedRun,
-};
+pub use shard::{shard_of_country, ShardFailure, ShardSpec, ShardWorldCache, ShardedRun};
 pub use validate::{check_marginals, Deviation};

@@ -65,153 +65,6 @@ pub fn shard_of_country(global_index: usize, shard_count: u32) -> u32 {
     (global_index as u32) % shard_count
 }
 
-/// Generate every shard of a `count`-way partition, sequentially. Worker
-/// pools that want generation *and* scanning off-thread should instead
-/// call [`crate::generate_shard`] from their own threads — or use
-/// [`run_sharded`], which owns that worker pool.
-pub fn generate_partition(config: &GenConfig, count: u32) -> Vec<Internet> {
-    ShardSpec::partition(count)
-        .into_iter()
-        .map(|s| generate_shard(config, s))
-        .collect()
-}
-
-/// The merged result of driving one experiment over every shard of a
-/// partition — what [`run_sharded`] returns.
-#[derive(Debug)]
-pub struct ShardedRun<T> {
-    /// One experiment output per shard, in ascending shard order
-    /// regardless of worker scheduling.
-    pub outputs: Vec<T>,
-    /// The union lookup database, merged in shard order. Disjoint
-    /// per-country regions make the merge collision-free by construction.
-    pub geo: GeoDb,
-}
-
-/// The sharded experiment runner: generate one self-contained world per
-/// shard on a worker-thread pool, run `experiment` against it in place,
-/// and hand back the outputs in deterministic shard order plus the merged
-/// [`GeoDb`].
-///
-/// This is the generate-shard → run-on-worker → deterministic-merge
-/// skeleton every sharded experiment driver shares; the census
-/// (`analysis::run_census_sharded`) and the DNSRoute++ sweep
-/// (`analysis::run_dnsroute_sharded`) both run on it. Each shard's
-/// simulator lives and dies on one worker thread — worker `w` handles
-/// shards `w, w + workers, w + 2·workers, …` — so the wall-clock cost of
-/// a large experiment divides by the worker count while the partition
-/// invariance of [`generate_shard`] keeps results independent of `K`.
-///
-/// The experiment closure receives the shard's [`ShardSpec`] and its
-/// fully-generated [`Internet`] (mutable: scans and sweeps drive the
-/// shard's own simulator). Only the closure's output and the shard's geo
-/// database survive the worker; experiment-specific merging (record
-/// streams, trace concatenation) is the caller's job.
-pub fn run_sharded<T, F>(config: &GenConfig, shards: u32, experiment: F) -> ShardedRun<T>
-where
-    T: Send,
-    F: Fn(ShardSpec, &mut Internet) -> T + Sync,
-{
-    let per_shard = drive_shards(shards, |index| {
-        let spec = ShardSpec::new(index, shards);
-        let mut world = generate_shard(config, spec);
-        let output = experiment(spec, &mut world);
-        // The world dies here, on the worker — only the output and the
-        // geo database survive, keeping peak memory at one world per
-        // worker however many shards run.
-        (output, world.geo)
-    });
-    let mut geo: Option<GeoDb> = None;
-    let mut outputs = Vec::with_capacity(per_shard.len());
-    for (_, (output, shard_geo)) in per_shard {
-        match &mut geo {
-            None => geo = Some(shard_geo),
-            Some(merged) => merged.merge(shard_geo),
-        }
-        outputs.push(output);
-    }
-    ShardedRun {
-        outputs,
-        geo: geo.expect("at least one shard"),
-    }
-}
-
-/// The outcome of a gracefully-degraded sharded run: partial results plus
-/// a ledger of the shards that failed (twice — every job gets one retry).
-///
-/// Unlike [`ShardedRun`], outputs carry their shard index explicitly,
-/// because failed shards leave gaps; [`DegradedRun::coverage`] quantifies
-/// how much of the partition the surviving outputs represent.
-#[derive(Debug)]
-pub struct DegradedRun<T> {
-    /// `(shard, output)` for every shard that completed, in ascending
-    /// shard order.
-    pub outputs: Vec<(u32, T)>,
-    /// The union lookup database over the *surviving* shards only.
-    pub geo: GeoDb,
-    /// Shards whose job panicked twice, in ascending shard order, each
-    /// with the retried panic's message.
-    pub failures: Vec<ShardFailure>,
-    /// How many shards the partition had in total.
-    pub total_shards: u32,
-}
-
-impl<T> DegradedRun<T> {
-    /// Fraction of the partition that completed, in `[0, 1]`.
-    pub fn coverage(&self) -> f64 {
-        self.outputs.len() as f64 / f64::from(self.total_shards)
-    }
-
-    /// Whether every shard completed (no degradation happened).
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// [`run_sharded`] with graceful degradation: a shard whose job panics is
-/// retried once, and a shard that fails twice is *recorded* rather than
-/// aborting the run — every surviving shard still completes, and the
-/// caller gets partial results plus the failure ledger.
-///
-/// Use this for long campaigns where losing 1 shard of 64 should cost
-/// 1/64th of the census, not the whole night's run. Callers must treat a
-/// [`DegradedRun`] with failures as a *lower bound*: absolute counts are
-/// missing the failed shards' populations (rates within surviving shards
-/// are unaffected, because shards are disjoint by construction).
-pub fn run_sharded_degraded<T, F>(config: &GenConfig, shards: u32, experiment: F) -> DegradedRun<T>
-where
-    T: Send,
-    F: Fn(ShardSpec, &mut Internet) -> T + Sync,
-{
-    let (per_shard, failures) = drive_shards_inner(shards, FailureMode::Degrade, |index| {
-        let spec = ShardSpec::new(index, shards);
-        let mut world = generate_shard(config, spec);
-        let output = experiment(spec, &mut world);
-        (output, world.geo)
-    });
-    let mut geo: Option<GeoDb> = None;
-    let mut outputs = Vec::with_capacity(per_shard.len());
-    for (shard, (output, shard_geo)) in per_shard {
-        match &mut geo {
-            None => geo = Some(shard_geo),
-            Some(merged) => merged.merge(shard_geo),
-        }
-        outputs.push((shard, output));
-    }
-    // An all-shards-failed run still reports the paper's 99.9 % geo
-    // coverage semantics, not the derived (full-miss) default.
-    let geo = match geo {
-        Some(geo) => geo,
-        None => GeoDb::new(),
-    };
-    DegradedRun {
-        outputs,
-        geo,
-        failures,
-        total_shards: shards,
-    }
-}
-
 /// A shard whose job failed — panicked twice, once on the original run
 /// and once on the automatic retry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,148 +75,107 @@ pub struct ShardFailure {
     pub message: String,
 }
 
-/// What a sharded runner does when a shard job fails even after retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailureMode {
-    /// Record the first failure, stop every worker at its next boundary,
-    /// and panic after the pool drains (the [`drive_shards`] contract).
-    FailFast,
-    /// Record every failure and keep the surviving shards running; the
-    /// caller receives partial results plus the failure ledger.
-    Degrade,
-}
-
-/// The worker pool every sharded runner drives: `job(index)` runs once
-/// per shard (worker `w` handles shards `w, w + workers, …`), and the
-/// collected `(shard, output)` pairs come back sorted by shard index.
-///
-/// Panic handling: a panicking job is retried exactly once on the same
-/// worker — a transient failure (resource blip, once-flaky experiment)
-/// costs one extra world generation instead of the whole run. A shard
-/// that fails twice is deterministic-broken: the first such shard is
-/// recorded, every surviving worker stops picking up new shards at its
-/// next boundary (prompt propagation — no burning minutes generating
-/// worlds for a run that already failed), and the final panic names the
-/// failing shard.
-fn drive_shards<T, F>(shards: u32, job: F) -> Vec<(u32, T)>
-where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
-{
-    let (per_shard, failures) = drive_shards_inner(shards, FailureMode::FailFast, job);
-    if let Some(ShardFailure { shard, message }) = failures.into_iter().next() {
-        panic!("shard {shard} worker panicked: {message}");
-    }
-    per_shard
-}
-
-fn drive_shards_inner<T, F>(
+/// The result of driving one experiment over every shard of a partition:
+/// the surviving shards' outputs, the lookup database merged over those
+/// shards, and the ledger of shards that failed. Take it apart with
+/// [`ShardedRun::into_complete`] when every shard must have survived, or
+/// with [`ShardedRun::into_partial`] to degrade gracefully.
+#[derive(Debug)]
+#[must_use = "shard failures only surface through into_complete or into_partial"]
+pub struct ShardedRun<T> {
+    /// `(shard, output)` for every surviving shard, in ascending shard
+    /// order regardless of worker scheduling.
+    outputs: Vec<(u32, T)>,
+    /// The union lookup database over the surviving shards, merged in
+    /// shard order. Disjoint per-country regions make the merge
+    /// collision-free by construction.
+    geo: GeoDb,
+    /// Shards whose job panicked twice, in ascending shard order.
+    failures: Vec<ShardFailure>,
+    /// How many shards the partition had in total.
     shards: u32,
-    mode: FailureMode,
-    job: F,
-) -> (Vec<(u32, T)>, Vec<ShardFailure>)
-where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
-{
-    assert!(shards >= 1, "a sharded run needs at least one shard");
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(1)
-        .min(shards)
-        .max(1);
-
-    // Failures in the order they were *recorded*; under FailFast only the
-    // first entry matters (workers stop once it exists).
-    let failures: Mutex<Vec<ShardFailure>> = Mutex::new(Vec::new());
-    let mut per_shard: Vec<(u32, T)> = std::thread::scope(|scope| {
-        let job = &job;
-        let failures = &failures;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                // detlint::allow(ad-hoc-spawn): this IS the sanctioned
-                // run_sharded worker pool; outputs are re-sorted by shard
-                // index below, so scheduling order cannot escape.
-                scope.spawn(move || {
-                    let mut collected = Vec::new();
-                    let mut index = w;
-                    while index < shards {
-                        if mode == FailureMode::FailFast && !failures.lock().unwrap().is_empty() {
-                            break;
-                        }
-                        let attempt = || catch_unwind(AssertUnwindSafe(|| job(index)));
-                        // Retry a panicked job once before giving up on
-                        // the shard: transient blips recover, determinis-
-                        // tic failures reproduce and get recorded.
-                        match attempt().or_else(|_first| attempt()) {
-                            Ok(output) => collected.push((index, output)),
-                            Err(payload) => {
-                                let message = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| (*s).to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                                failures.lock().unwrap().push(ShardFailure {
-                                    shard: index,
-                                    message,
-                                });
-                                if mode == FailureMode::FailFast {
-                                    break;
-                                }
-                            }
-                        }
-                        index += workers;
-                    }
-                    collected
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard worker died outside a job"))
-            .collect()
-    });
-    // Deterministic order regardless of worker scheduling.
-    per_shard.sort_by_key(|(shard, _)| *shard);
-    let mut failed = failures.into_inner().unwrap();
-    if mode == FailureMode::Degrade {
-        failed.sort_by_key(|f| f.shard);
-    }
-    (per_shard, failed)
 }
 
-/// Generate-once, scan-many: a cache of warm per-shard worlds.
+impl<T> ShardedRun<T> {
+    /// Fraction of the partition that completed, in `[0, 1]`.
+    pub fn coverage(&self) -> f64 {
+        self.outputs.len() as f64 / f64::from(self.shards)
+    }
+
+    /// Whether every shard completed (no degradation happened).
+    pub fn is_complete(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// One output per shard, in ascending shard order, plus the merged
+    /// [`GeoDb`].
+    ///
+    /// # Panics
+    ///
+    /// If any shard failed, naming the lowest failed shard and the panic
+    /// message of its retry.
+    pub fn into_complete(self) -> (Vec<T>, GeoDb) {
+        if let Some(ShardFailure { shard, message }) = self.failures.into_iter().next() {
+            panic!("shard {shard} worker panicked: {message}");
+        }
+        let outputs = self.outputs.into_iter().map(|(_, output)| output).collect();
+        (outputs, self.geo)
+    }
+
+    /// Graceful degradation: `(shard, output)` for every surviving shard,
+    /// the [`GeoDb`] over those shards, and the failure ledger.
+    ///
+    /// Use this for long campaigns where losing 1 shard of 64 should cost
+    /// 1/64th of the census, not the whole night's run. Treat a run with
+    /// failures as a *lower bound*: absolute counts are missing the failed
+    /// shards' populations (rates within surviving shards are unaffected,
+    /// because shards are disjoint by construction).
+    pub fn into_partial(self) -> (Vec<(u32, T)>, GeoDb, Vec<ShardFailure>) {
+        (self.outputs, self.geo, self.failures)
+    }
+}
+
+/// The sharded experiment runner, and its cache of per-shard worlds.
 ///
-/// The first [`ShardWorldCache::run`] at a shard count generates each
-/// shard's [`Internet`] exactly like [`run_sharded`] would; every later
-/// run at the same count takes the warm world, [`Internet::reset`]s it to
-/// its pre-scan state, and drives the experiment again — skipping world
-/// generation entirely. Repeated sweeps (the scaling benches, parameter
-/// studies, the million-target census) pay generation once instead of
-/// once per sweep, and the reset contract keeps every run bit-identical
-/// to a run over freshly generated worlds (property-tested in
-/// `tests/warm_world_reuse.rs`).
+/// Both entry points drive one worker pool: each shard's world is
+/// generated (or taken warm from its slot and [`Internet::reset`]) and
+/// the experiment runs against it on a worker thread — worker `w` handles
+/// shards `w, w + workers, w + 2·workers, …` — so the wall-clock cost of
+/// a large experiment divides by the worker count, while the partition
+/// invariance of [`generate_shard`] keeps results independent of `K`.
+///
+/// - [`ShardWorldCache::run`] keeps the worlds: generate once, scan many.
+///   Repeated sweeps (the scaling benches, parameter studies, the
+///   million-target census) pay generation once instead of once per
+///   sweep, and the reset contract keeps every run bit-identical to a run
+///   over freshly generated worlds (property-tested in
+///   `tests/warm_world_reuse.rs`).
+/// - [`ShardWorldCache::run_once`] is a one-shot cache: each world lives
+///   and dies on the worker that built it, and only the experiment's
+///   output and the world's [`GeoDb`] survive — peak memory stays at one
+///   world per worker however many shards run.
+///
+/// A panicking shard job is retried once on the same worker, from a
+/// freshly generated world: a transient failure costs one extra world
+/// generation instead of the whole run. A shard that fails twice is
+/// recorded in the [`ShardedRun`]'s ledger while every other shard still
+/// completes, and its slot stays empty, so the next run regenerates that
+/// world rather than reusing one in an unknown state.
 ///
 /// Changing the shard count rebuilds the cache: shard worlds are
-/// partition-specific. A shard whose experiment panics leaves its slot
-/// empty, so the next run regenerates that world from scratch rather
-/// than reusing one in an unknown state.
+/// partition-specific.
 pub struct ShardWorldCache {
     config: GenConfig,
-    count: u32,
     slots: Vec<Mutex<Option<Internet>>>,
-    geo: Option<GeoDb>,
 }
 
 impl ShardWorldCache {
     /// A cache that generates worlds from `config`. No worlds are built
-    /// until the first [`ShardWorldCache::run`].
+    /// until the first run.
     pub fn new(config: GenConfig) -> Self {
         ShardWorldCache {
             config,
-            count: 0,
             slots: Vec::new(),
-            geo: None,
         }
     }
 
@@ -383,61 +195,149 @@ impl ShardWorldCache {
     /// Drop every cached world (e.g. to bound memory between phases).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.count = 0;
-        self.geo = None;
     }
 
     /// Run `experiment` over every shard of a `shards`-way partition,
-    /// exactly like [`run_sharded`] — but over cached worlds when warm
-    /// ones exist. Semantics match [`run_sharded`] bit for bit: same
-    /// outputs, same merged geo, same prompt panic propagation.
+    /// over warm worlds where they exist, and keep every world that
+    /// survives its experiment for the next run.
+    ///
+    /// The experiment closure receives the shard's [`ShardSpec`] and its
+    /// world (mutable: scans and sweeps drive the shard's own simulator).
     pub fn run<T, F>(&mut self, shards: u32, experiment: F) -> ShardedRun<T>
     where
         T: Send,
         F: Fn(ShardSpec, &mut Internet) -> T + Sync,
     {
-        assert!(shards >= 1, "a sharded run needs at least one shard");
-        if self.count != shards {
-            self.slots = (0..shards).map(|_| Mutex::new(None)).collect();
-            self.geo = None;
-            self.count = shards;
-        }
-        let need_geo = self.geo.is_none();
-        let config = &self.config;
+        self.repartition(shards);
         let slots = &self.slots;
-        let per_shard = drive_shards(shards, |index| {
+        self.pool(shards, experiment, |index, world| {
+            let geo = world.geo.clone();
+            *slots[index as usize].lock().unwrap() = Some(world);
+            geo
+        })
+    }
+
+    /// [`ShardWorldCache::run`] as the cache's last run: each world is
+    /// dropped on its worker right after its experiment, and its
+    /// [`GeoDb`] is moved out rather than cloned.
+    pub fn run_once<T, F>(mut self, shards: u32, experiment: F) -> ShardedRun<T>
+    where
+        T: Send,
+        F: Fn(ShardSpec, &mut Internet) -> T + Sync,
+    {
+        self.repartition(shards);
+        self.pool(shards, experiment, |_, world| world.geo)
+    }
+
+    /// Size the slots for a `shards`-way partition, dropping the worlds
+    /// of any other partition.
+    fn repartition(&mut self, shards: u32) {
+        assert!(shards >= 1, "a sharded run needs at least one shard");
+        if self.slots.len() != shards as usize {
+            self.slots = (0..shards).map(|_| Mutex::new(None)).collect();
+        }
+    }
+
+    /// The worker pool behind [`ShardWorldCache::run`] and
+    /// [`ShardWorldCache::run_once`]. `settle` receives each world after
+    /// its experiment succeeded, on the worker, and returns the shard's
+    /// lookup database.
+    fn pool<T, F, S>(&self, shards: u32, experiment: F, settle: S) -> ShardedRun<T>
+    where
+        T: Send,
+        F: Fn(ShardSpec, &mut Internet) -> T + Sync,
+        S: Fn(u32, Internet) -> GeoDb + Sync,
+    {
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get() as u32)
+            .unwrap_or(1)
+            .min(shards)
+            .max(1);
+        let job = |index: u32| {
+            let spec = ShardSpec::new(index, shards);
             // Take the world OUT of its slot for the experiment: no lock
             // is held while it runs, and a panicking experiment leaves
-            // the slot empty (regenerate next run) instead of poisoned.
-            let taken = slots[index as usize].lock().unwrap().take();
+            // the slot empty instead of poisoned.
+            let taken = self.slots[index as usize].lock().unwrap().take();
             let mut world = match taken {
                 Some(mut warm) => {
                     warm.reset();
                     warm
                 }
-                None => generate_shard(config, ShardSpec::new(index, shards)),
+                None => generate_shard(&self.config, spec),
             };
-            let output = experiment(ShardSpec::new(index, shards), &mut world);
-            let geo = need_geo.then(|| world.geo.clone());
-            *slots[index as usize].lock().unwrap() = Some(world);
-            (output, geo)
+            let output = experiment(spec, &mut world);
+            (output, settle(index, world))
+        };
+        let mut per_shard: Vec<_> = std::thread::scope(|scope| {
+            let job = &job;
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    // detlint::allow(ad-hoc-spawn): this IS the sanctioned
+                    // ShardWorldCache worker pool; outputs are re-sorted by
+                    // shard index below, so scheduling order cannot escape.
+                    scope.spawn(move || {
+                        (w..shards)
+                            .step_by(workers as usize)
+                            .map(|index| {
+                                let attempt = || catch_unwind(AssertUnwindSafe(|| job(index)));
+                                // Retry a panicked job once before giving up
+                                // on the shard: transient blips recover,
+                                // deterministic failures reproduce and get
+                                // recorded.
+                                let result = attempt()
+                                    .or_else(|_first| attempt())
+                                    .map_err(|payload| panic_message(&*payload));
+                                (index, result)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("shard worker died outside a job"))
+                .collect()
         });
-        if need_geo {
-            let mut merged: Option<GeoDb> = None;
-            for (_, (_, shard_geo)) in &per_shard {
-                let shard_geo = shard_geo.clone().expect("first run clones every shard geo");
-                match &mut merged {
-                    None => merged = Some(shard_geo),
-                    Some(m) => m.merge(shard_geo),
+        // Deterministic order regardless of worker scheduling.
+        per_shard.sort_by_key(|(shard, _)| *shard);
+        let mut outputs = Vec::with_capacity(per_shard.len());
+        let mut failures = Vec::new();
+        let mut geo: Option<GeoDb> = None;
+        for (shard, result) in per_shard {
+            match result {
+                Ok((output, shard_geo)) => {
+                    match &mut geo {
+                        None => geo = Some(shard_geo),
+                        Some(merged) => merged.merge(shard_geo),
+                    }
+                    outputs.push((shard, output));
                 }
+                Err(message) => failures.push(ShardFailure { shard, message }),
             }
-            self.geo = Some(merged.expect("at least one shard"));
         }
+        // A run whose every shard failed still reports the paper's 99.9 %
+        // geo coverage semantics, not the derived (full-miss) default.
+        let geo = match geo {
+            Some(geo) => geo,
+            None => GeoDb::new(),
+        };
         ShardedRun {
-            outputs: per_shard.into_iter().map(|(_, (out, _))| out).collect(),
-            geo: self.geo.clone().expect("merged geo cached above"),
+            outputs,
+            geo,
+            failures,
+            shards,
         }
     }
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -456,25 +356,27 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_outputs_in_shard_order() {
+    fn run_once_outputs_in_shard_order() {
         let config = GenConfig {
             countries: crate::CountrySelection::Codes(vec!["MUS", "FSM", "AFG"]),
             scale: 5_000,
             dud_fraction: 0.0,
             ..GenConfig::default()
         };
-        let run = run_sharded(&config, 3, |spec, world| (spec.index, world.targets.len()));
-        assert_eq!(run.outputs.len(), 3);
-        for (i, (index, _)) in run.outputs.iter().enumerate() {
+        let (outputs, geo) = ShardWorldCache::new(config.clone())
+            .run_once(3, |spec, world| (spec.index, world.targets.len()))
+            .into_complete();
+        assert_eq!(outputs.len(), 3);
+        for (i, (index, _)) in outputs.iter().enumerate() {
             assert_eq!(*index, i as u32, "outputs sorted by shard index");
         }
         // The merged geo covers every shard's population.
-        let total: usize = run.outputs.iter().map(|(_, n)| n).sum();
+        let total: usize = outputs.iter().map(|(_, n)| n).sum();
         assert!(total > 0);
         let solo = crate::generate(&config);
         assert_eq!(total, solo.targets.len());
         for host in &solo.truth.hosts {
-            assert_eq!(run.geo.asn_of(host.ip), Some(host.asn));
+            assert_eq!(geo.asn_of(host.ip), Some(host.asn));
         }
     }
 
@@ -493,12 +395,14 @@ mod tests {
             dud_fraction: 0.0,
             ..GenConfig::default()
         };
-        run_sharded(&config, 2, |spec, _world| {
-            if spec.index == 1 {
-                panic!("boom in shard {}", spec.index);
-            }
-            0u32
-        });
+        let _ = ShardWorldCache::new(config)
+            .run_once(2, |spec, _world| {
+                if spec.index == 1 {
+                    panic!("boom in shard {}", spec.index);
+                }
+                0u32
+            })
+            .into_complete();
     }
 
     #[test]
@@ -511,16 +415,20 @@ mod tests {
             ..GenConfig::default()
         };
         let tripped = AtomicBool::new(false);
-        let run = run_sharded(&config, 2, |spec, world| {
-            if spec.index == 1 && !tripped.swap(true, Ordering::SeqCst) {
-                panic!("transient blip in shard {}", spec.index);
-            }
-            world.targets.len()
-        });
+        let (outputs, _) = ShardWorldCache::new(config.clone())
+            .run_once(2, |spec, world| {
+                if spec.index == 1 && !tripped.swap(true, Ordering::SeqCst) {
+                    panic!("transient blip in shard {}", spec.index);
+                }
+                world.targets.len()
+            })
+            .into_complete();
         assert!(tripped.load(Ordering::SeqCst), "the flaky path ran");
-        assert_eq!(run.outputs.len(), 2, "retry recovered the flaky shard");
-        let clean = run_sharded(&config, 2, |_, world| world.targets.len());
-        assert_eq!(run.outputs, clean.outputs, "retried run matches clean run");
+        assert_eq!(outputs.len(), 2, "retry recovered the flaky shard");
+        let (clean, _) = ShardWorldCache::new(config)
+            .run_once(2, |_, world| world.targets.len())
+            .into_complete();
+        assert_eq!(outputs, clean, "retried run matches clean run");
     }
 
     #[test]
@@ -531,46 +439,56 @@ mod tests {
             dud_fraction: 0.0,
             ..GenConfig::default()
         };
-        let run = run_sharded_degraded(&config, 3, |spec, world| {
+        let run = ShardWorldCache::new(config.clone()).run_once(3, |spec, world| {
             if spec.index == 1 {
                 panic!("deterministic failure in shard {}", spec.index);
             }
             world.targets.clone()
         });
         assert!(!run.is_complete());
-        assert_eq!(run.total_shards, 3);
-        assert_eq!(run.failures.len(), 1);
-        assert_eq!(run.failures[0].shard, 1);
-        assert!(run.failures[0].message.contains("deterministic failure"));
-        let shards: Vec<u32> = run.outputs.iter().map(|(s, _)| *s).collect();
-        assert_eq!(shards, vec![0, 2], "surviving shards, in order");
         assert!((run.coverage() - 2.0 / 3.0).abs() < 1e-9);
+        let (outputs, geo, failures) = run.into_partial();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].shard, 1);
+        assert!(failures[0].message.contains("deterministic failure"));
+        let shards: Vec<u32> = outputs.iter().map(|(s, _)| *s).collect();
+        assert_eq!(shards, vec![0, 2], "surviving shards, in order");
         // Surviving shards' outputs are bit-identical to a healthy run's.
-        let healthy = run_sharded(&config, 3, |_, world| world.targets.clone());
-        assert_eq!(run.outputs[0].1, healthy.outputs[0]);
-        assert_eq!(run.outputs[1].1, healthy.outputs[2]);
+        let (healthy, healthy_geo) = ShardWorldCache::new(config)
+            .run_once(3, |_, world| world.targets.clone())
+            .into_complete();
+        assert_eq!(outputs[0].1, healthy[0]);
+        assert_eq!(outputs[1].1, healthy[2]);
         // The geo covers exactly the surviving populations.
-        for (_, targets) in &run.outputs {
+        for (_, targets) in &outputs {
             for ip in targets {
-                assert_eq!(run.geo.asn_of(*ip), healthy.geo.asn_of(*ip));
+                assert_eq!(geo.asn_of(*ip), healthy_geo.asn_of(*ip));
             }
         }
     }
 
     #[test]
-    fn degraded_run_with_no_failures_matches_run_sharded() {
+    fn degraded_run_with_no_failures_matches_a_complete_run() {
         let config = GenConfig {
             countries: crate::CountrySelection::Codes(vec!["MUS", "FSM"]),
             scale: 5_000,
             dud_fraction: 0.0,
             ..GenConfig::default()
         };
-        let degraded = run_sharded_degraded(&config, 2, |_, world| world.targets.clone());
+        let degraded =
+            ShardWorldCache::new(config.clone()).run_once(2, |_, world| world.targets.clone());
         assert!(degraded.is_complete());
         assert_eq!(degraded.coverage(), 1.0);
-        let full = run_sharded(&config, 2, |_, world| world.targets.clone());
-        let outputs: Vec<_> = degraded.outputs.into_iter().map(|(_, t)| t).collect();
-        assert_eq!(outputs, full.outputs);
+        let (full, _) = ShardWorldCache::new(config)
+            .run_once(2, |_, world| world.targets.clone())
+            .into_complete();
+        let outputs: Vec<_> = degraded
+            .into_partial()
+            .0
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect();
+        assert_eq!(outputs, full);
     }
 
     #[test]
@@ -583,22 +501,24 @@ mod tests {
         };
         let mut cache = ShardWorldCache::new(config.clone());
         let experiment = |_: ShardSpec, world: &mut Internet| world.targets.clone();
-        let cold = cache.run(2, experiment);
+        let (cold, _) = cache.run(2, experiment).into_complete();
         assert_eq!(cache.warm_shards(), 2);
-        let warm = cache.run(2, experiment);
-        assert_eq!(cold.outputs, warm.outputs, "warm rerun matches cold");
-        let fresh = run_sharded(&config, 2, experiment);
-        assert_eq!(cold.outputs, fresh.outputs, "cache matches run_sharded");
-        assert_eq!(warm.geo.prefix_count(), fresh.geo.prefix_count());
-        assert_eq!(warm.geo.asn_count(), fresh.geo.asn_count());
-        for ip in fresh.outputs.iter().flatten() {
-            assert_eq!(warm.geo.asn_of(*ip), fresh.geo.asn_of(*ip));
+        let (warm, warm_geo) = cache.run(2, experiment).into_complete();
+        assert_eq!(cold, warm, "warm rerun matches cold");
+        let (fresh, fresh_geo) = ShardWorldCache::new(config)
+            .run_once(2, experiment)
+            .into_complete();
+        assert_eq!(cold, fresh, "cache matches run_once");
+        assert_eq!(warm_geo.prefix_count(), fresh_geo.prefix_count());
+        assert_eq!(warm_geo.asn_count(), fresh_geo.asn_count());
+        for ip in fresh.iter().flatten() {
+            assert_eq!(warm_geo.asn_of(*ip), fresh_geo.asn_of(*ip));
         }
         // Count change rebuilds the partition.
-        let three = cache.run(3, experiment);
+        let (three, _) = cache.run(3, experiment).into_complete();
         assert_eq!(cache.warm_shards(), 3);
-        let total: usize = three.outputs.iter().map(|t| t.len()).sum();
-        let total2: usize = cold.outputs.iter().map(|t| t.len()).sum();
+        let total: usize = three.iter().map(|t| t.len()).sum();
+        let total2: usize = cold.iter().map(|t| t.len()).sum();
         assert_eq!(total, total2, "partition change keeps the population");
     }
 
@@ -611,19 +531,96 @@ mod tests {
             ..GenConfig::default()
         };
         let mut cache = ShardWorldCache::new(config);
-        let baseline = cache.run(2, |_, world| world.targets.clone());
+        let (baseline, _) = cache
+            .run(2, |_, world| world.targets.clone())
+            .into_complete();
         let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.run(2, |spec, _world: &mut Internet| {
-                if spec.index == 1 {
-                    panic!("mid-experiment failure");
-                }
-                0u32
-            })
+            cache
+                .run(2, |spec, _world: &mut Internet| {
+                    if spec.index == 1 {
+                        panic!("mid-experiment failure");
+                    }
+                    0u32
+                })
+                .into_complete()
         }));
         assert!(boom.is_err());
         assert!(cache.warm_shards() < 2, "failed shard's slot is empty");
-        let after = cache.run(2, |_, world| world.targets.clone());
-        assert_eq!(baseline.outputs, after.outputs, "regenerated identically");
+        let (after, _) = cache
+            .run(2, |_, world| world.targets.clone())
+            .into_complete();
+        assert_eq!(baseline, after, "regenerated identically");
+    }
+
+    fn targets(_: ShardSpec, world: &mut Internet) -> Vec<std::net::Ipv4Addr> {
+        world.targets.clone()
+    }
+
+    /// A three-shard cache whose worlds are warm.
+    fn warm_cache() -> ShardWorldCache {
+        let mut cache = ShardWorldCache::new(GenConfig {
+            countries: crate::CountrySelection::Codes(vec!["MUS", "FSM", "AFG"]),
+            scale: 5_000,
+            dud_fraction: 0.0,
+            ..GenConfig::default()
+        });
+        let _ = cache.run(3, targets).into_complete();
+        cache
+    }
+
+    /// A run in which every shard that `fails` selects panics on its
+    /// first attempt and on its retry.
+    fn run_failing(
+        cache: &mut ShardWorldCache,
+        fails: fn(u32) -> bool,
+    ) -> ShardedRun<Vec<std::net::Ipv4Addr>> {
+        cache.run(3, |spec, world| {
+            if fails(spec.index) {
+                panic!("shard {} broke on a warm world", spec.index);
+            }
+            targets(spec, world)
+        })
+    }
+
+    #[test]
+    fn warm_partial_run_keeps_survivors_and_regenerates_the_failed_slot() {
+        let mut cache = warm_cache();
+        let (healthy, healthy_geo) = cache.run(3, targets).into_complete();
+        let run = run_failing(&mut cache, |i| i == 1);
+        assert!(!run.is_complete());
+        assert!((run.coverage() - 2.0 / 3.0).abs() < 1e-9);
+        let (outputs, geo, failures) = run.into_partial();
+        assert_eq!(
+            failures,
+            vec![ShardFailure {
+                shard: 1,
+                message: "shard 1 broke on a warm world".into()
+            }]
+        );
+        assert_eq!(
+            outputs,
+            vec![(0, healthy[0].clone()), (2, healthy[2].clone())],
+            "survivors bit-identical to a healthy warm run"
+        );
+        for (_, targets) in &outputs {
+            for ip in targets {
+                assert_eq!(geo.asn_of(*ip), healthy_geo.asn_of(*ip));
+            }
+        }
+        assert!(
+            cache.slots[1].lock().unwrap().is_none(),
+            "failed slot stays empty"
+        );
+        assert_eq!(cache.warm_shards(), 2);
+        let (after, _) = cache.run(3, targets).into_complete();
+        assert_eq!(after, healthy, "failed slot regenerated identically");
+        assert_eq!(cache.warm_shards(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 worker panicked: shard 1 broke on a warm world")]
+    fn warm_complete_run_panics_naming_the_lowest_failed_shard() {
+        let _ = run_failing(&mut warm_cache(), |i| i >= 1).into_complete();
     }
 
     #[test]

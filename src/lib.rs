@@ -39,7 +39,7 @@
 //! Sharding is how the reproduction scales: `quick_census(scale)` is
 //! `quick_census_sharded(scale, 1)` by construction, and larger censuses
 //! pick a shard count near the machine's core count (see the
-//! `shard_scaling` bench). The same worker pool drives the §5 DNSRoute++
+//! `census_scaling` bench). The same worker pool drives the §5 DNSRoute++
 //! sweep — [`analysis::run_dnsroute_sharded`] scans *and* traces every
 //! shard world in parallel, each shard owning its own source-port space,
 //! so full-coverage forwarder tracing has no single-world wave limit.

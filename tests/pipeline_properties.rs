@@ -65,7 +65,7 @@ proptest! {
         // capture-derived census equals the live one row for row.
         let config = tiny_config(seed);
         let k = [1u32, 2, 4][(seed % 3) as usize];
-        let run = inetgen::run_sharded(&config, k, |spec, world| {
+        let (outputs, geo) = inetgen::ShardWorldCache::new(config.clone()).run_once(k, |spec, world| {
             let node = world.fixtures.scanner;
             world.sim.tap(node);
             let (probes, responses, _retries) = scanner::run_scan_raw(
@@ -75,11 +75,11 @@ proptest! {
             );
             let capture = world.sim.take_capture(node).expect("tapped");
             (spec.index, probes, responses, capture)
-        });
+        }).into_complete();
 
         let mut live_streams = Vec::new();
         let mut captures = Vec::new();
-        for (shard, probes, responses, capture) in run.outputs {
+        for (shard, probes, responses, capture) in outputs {
             let (rebuilt_probes, rebuilt_responses) =
                 analysis::streams_from_pcap(&capture).expect("capture parses");
             prop_assert_eq!(&rebuilt_probes, &probes, "shard {} probes", shard);
@@ -103,14 +103,8 @@ proptest! {
             live_streams,
             scanner::ScanConfig::DEFAULT_TIMEOUT,
         );
-        let mut live_census = analysis::Census::from_transactions(
-            &merged.transactions,
-            &run.geo,
-            &classifier,
-        );
-        live_census.unmatched_responses = merged.unmatched_responses;
-        live_census.late_responses = merged.late_responses;
-        let capture_census = analysis::census_from_captures(&captures, &run.geo, &classifier)
+        let live_census = analysis::Census::from_outcome(&merged, &geo, &classifier);
+        let capture_census = analysis::census_from_captures(&captures, &geo, &classifier)
             .expect("captures parse");
         prop_assert_eq!(&capture_census, &live_census, "K={} census", k);
         prop_assert!(capture_census.odns_total() > 0, "world must answer");

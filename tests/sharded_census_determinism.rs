@@ -69,7 +69,10 @@ fn shard_worlds_probe_disjoint_population_targets() {
     // The partition really is disjoint: no planted address appears in two
     // shards, and the union covers the unsharded world exactly.
     let config = GenConfig::test_small();
-    let shards = inetgen::generate_partition(&config, 4);
+    let shards: Vec<_> = inetgen::ShardSpec::partition(4)
+        .into_iter()
+        .map(|spec| inetgen::generate_shard(&config, spec))
+        .collect();
     let mut seen = std::collections::HashSet::new();
     for world in &shards {
         for host in &world.truth.hosts {
