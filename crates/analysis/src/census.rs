@@ -279,9 +279,9 @@ pub fn run_census_cached(
     merge_census_parts(run.into_complete().0)
 }
 
-/// The offline-ingest tail: stream per-shard record collections through
-/// the bounded-memory [`scanner::StreamingMerge`] (the `(port, txid)` key
-/// space restarts per shard) and classify the merged transactions. The
+/// The offline-ingest tail: merge per-shard record collections through
+/// [`scanner::merge_shard_records`] (the `(port, txid)` key space
+/// restarts per shard) and classify the merged transactions. The
 /// live drivers classify in-worker instead; this path serves capture
 /// replay ([`crate::pcap_ingest::census_from_captures`]), where records
 /// arrive shard-by-shard from pcap bytes and no worker exists.

@@ -3,9 +3,10 @@
 //! The paper's pipeline stores the complete scan traffic with `dumpcap`
 //! and correlates offline (§A.2). This module proves our pipeline is
 //! equally capture-driven: given only the scanner's pcap bytes, it
-//! reconstructs probes (outgoing port-53 queries), responses (everything
-//! else), and correlates them by `(port, TXID)` within the timeout —
-//! independently of the in-memory records the scanner kept.
+//! reconstructs probes (queries to port 53: QR clear), responses
+//! (everything else, including answers that arrive *at* port 53 because
+//! their probe left from it), and correlates them by `(port, TXID)` within
+//! the timeout — independently of the in-memory records the scanner kept.
 //!
 //! The sharded drivers extend this to per-shard taps: every shard's
 //! scanner capture alone rebuilds that shard's record streams
@@ -14,15 +15,16 @@
 //! so the whole sharded pipeline is reproducible from its captures, like
 //! the paper's. Campaign emulations replay offline too
 //! ([`campaign_report_from_pcap`]): a campaign's published report is a
-//! pure function of its capture and its processing rules.
+//! pure function of its capture and its processing rules, which the live
+//! scanner and the replay share ([`CampaignReport::observe`]).
 
 use netsim::pcap::{read_pcap, PcapError};
 use netsim::wire::{decode, DecodedPacket};
-use netsim::SimDuration;
+use netsim::{Datagram, SimDuration};
 use scanner::records::{ProbeRecord, ResponseRecord, ScanOutcome};
 use scanner::{Campaign, CampaignReport, ClassifierConfig, ShardRecords};
-// detlint::allow(unordered-iter): correlation map mirroring the live
-// CampaignScanner byte for byte; keyed lookups only, never iterated.
+// detlint::allow(unordered-iter): the replay's `(port, txid) → target`
+// lookup for the sanitizing campaigns; keyed lookups only, never iterated.
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -59,11 +61,7 @@ pub fn streams_from_pcap(
         let Ok(DecodedPacket::Udp(d)) = decode(&rec.data) else {
             continue; // ICMP and malformed frames are not DNS transactions
         };
-        if d.dst_port == dnswire::DNS_PORT {
-            // Outgoing probe (the tap records the scanner's own sends).
-            let Some(txid) = dnswire::peek_id(&d.payload) else {
-                continue;
-            };
+        if let Some(txid) = probe_txid(&d) {
             probes.push(ProbeRecord {
                 index: probes.len(),
                 target: d.dst,
@@ -81,6 +79,18 @@ pub fn streams_from_pcap(
         }
     }
     Ok((probes, responses))
+}
+
+/// The txid of a datagram the scanner sent: a query (QR clear) to port
+/// 53. The port alone does not decide — a probe whose tuple put its
+/// *source* on port 53 is answered *at* port 53, and that answer is a
+/// response.
+fn probe_txid(d: &Datagram) -> Option<u16> {
+    if d.dst_port == dnswire::DNS_PORT && dnswire::peek_qr(&d.payload) == Some(false) {
+        dnswire::peek_id(&d.payload)
+    } else {
+        None
+    }
 }
 
 /// Reconstruct a [`ScanOutcome`] from raw capture bytes.
@@ -124,10 +134,10 @@ pub fn census_from_captures<S: AsRef<[u8]>>(
 /// Replay a campaign's processing rules over its capture, rebuilding the
 /// [`CampaignReport`] it published — the offline proof that a campaign's
 /// feed is a pure function of the traffic it saw plus its (stateless or
-/// connected-socket) pipeline. Mirrors `CampaignScanner::on_datagram`
-/// byte for byte: outgoing port-53 packets register the probe's
-/// `(port, txid) → target`, anything else is processed as a response in
-/// capture order.
+/// connected-socket) pipeline. Sent probes register their
+/// `(port, txid) → target`; every other datagram goes, in capture order,
+/// through [`CampaignReport::observe`], the rules the live scanner
+/// applies.
 pub fn campaign_report_from_pcap(
     campaign: Campaign,
     pcap: &[u8],
@@ -141,30 +151,12 @@ pub fn campaign_report_from_pcap(
         let Ok(DecodedPacket::Udp(d)) = decode(&rec.data) else {
             continue; // ICMP never reaches a campaign's response pipeline
         };
-        if d.dst_port == dnswire::DNS_PORT {
-            if let Some(txid) = dnswire::peek_id(&d.payload) {
-                sent.insert((d.src_port, txid), d.dst);
-            }
+        if let Some(txid) = probe_txid(&d) {
+            sent.insert((d.src_port, txid), d.dst);
             continue;
         }
-        let Ok(msg) = dnswire::Message::decode(&d.payload) else {
-            report.invalid += 1;
-            continue;
-        };
-        if !msg.is_response() || msg.answer_a_addrs().is_empty() {
-            report.invalid += 1;
-            continue;
-        }
-        if campaign.sanitizes_source() {
-            match sent.get(&(d.dst_port, msg.header.id)) {
-                Some(&target) if target == d.src => {
-                    report.odns.insert(d.src);
-                }
-                _ => report.sanitized_out += 1,
-            }
-        } else {
-            report.odns.insert(d.src);
-        }
+        let probed = dnswire::peek_id(&d.payload).and_then(|id| sent.get(&(d.dst_port, id)));
+        report.observe(campaign, d.src, &d.payload, probed.copied());
     }
     Ok(report)
 }
@@ -346,5 +338,71 @@ mod tests {
         let report = campaign_report_from_pcap(Campaign::Shadowserver, &w.finish()).unwrap();
         assert_eq!(report.invalid, 2);
         assert!(report.odns.is_empty());
+    }
+
+    #[test]
+    fn answer_to_a_probe_sent_from_port_53_is_a_response() {
+        // The port walk wraps: probe 32,589 of every 65 k block leaves
+        // from port 53, and its answer arrives at port 53.
+        let walk = scanner::ScanConfig::new(Vec::new());
+        assert_eq!(walk.probe_tuple(32_589).0, dnswire::DNS_PORT);
+        let mut w = PcapWriter::new();
+        let probe = Datagram {
+            src: SCANNER,
+            dst: TARGET,
+            src_port: 53,
+            dst_port: 53,
+            ttl: 64,
+            payload: query_bytes(7).into(),
+        };
+        w.write(SimTime(0), &encode_udp(&probe, 1));
+        let resp = Datagram {
+            src: RESOLVER,
+            dst: SCANNER,
+            src_port: 53,
+            dst_port: 53,
+            ttl: 60,
+            payload: response_bytes(7).into(),
+        };
+        w.write(SimTime(40_000), &encode_udp(&resp, 2));
+        let pcap = w.finish();
+        let outcome = outcome_from_pcap(&pcap, SimDuration::from_secs(20)).unwrap();
+        assert_eq!(outcome.transactions.len(), 1, "the answer is not a probe");
+        assert_eq!(outcome.answered_count(), 1);
+        assert_eq!(outcome.transactions[0].response_src(), Some(RESOLVER));
+        // The campaign replay tells probes from answers the same way.
+        let shadow = campaign_report_from_pcap(Campaign::Shadowserver, &pcap).unwrap();
+        assert_eq!(shadow.odns, [RESOLVER].into_iter().collect());
+    }
+
+    #[test]
+    fn campaign_replay_matches_live_passes_with_retransmissions() {
+        // Live campaign passes over a lossy world, retrying: every report
+        // rebuilt from the pass's capture alone must equal the live one.
+        let config = inetgen::GenConfig {
+            countries: inetgen::CountrySelection::Codes(vec!["BRA", "TUR"]),
+            scale: 2_000,
+            dud_fraction: 0.0,
+            ..inetgen::GenConfig::default()
+        };
+        let mut world = inetgen::generate(&config);
+        world
+            .sim
+            .set_faults(netsim::FaultPlan::lossy(0.1).salted(config.seed));
+        let node = world.fixtures.campaign_scanners[0];
+        for campaign in Campaign::all() {
+            world.sim.tap(node);
+            let pass = scanner::CampaignConfig::new(campaign, world.targets.clone())
+                .with_retry(netsim::RetryPolicy::retries(3));
+            let live = scanner::run_campaign(&mut world.sim, node, pass);
+            let pcap = world.sim.take_capture(node).expect("tapped");
+            let replay = campaign_report_from_pcap(campaign, &pcap).unwrap();
+            assert!(live.retransmits_sent > 0, "{campaign}: the loss must bite");
+            assert!(!live.odns.is_empty());
+            assert_eq!(live.sanitized_out > 0, campaign.sanitizes_source());
+            assert_eq!(replay.odns, live.odns, "{campaign}");
+            assert_eq!(replay.sanitized_out, live.sanitized_out, "{campaign}");
+            assert_eq!(replay.invalid, live.invalid, "{campaign}");
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! bit-identical across runs and shard counts. The `analysis` crate rolls
 //! the measurements into its Table-3-style `AttackMatrix`.
 
+use crate::pacing::Pacer;
 use dnswire::{DnsName, Message, MessageBuilder, RData, Record, RrType};
 use netsim::{Ctx, Datagram, Host, NodeId, Payload, SimDuration, Simulator, UdpSend};
 use odns::study;
@@ -160,7 +161,7 @@ pub struct AttackSpend {
 struct PlanState {
     plan: ReflectionPlan,
     query: Payload,
-    cursor: usize,
+    pacer: Pacer,
     spend: AttackSpend,
 }
 
@@ -175,28 +176,27 @@ impl std::fmt::Debug for PlanState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanState")
             .field("vector", &self.plan.vector)
-            .field("cursor", &self.cursor)
+            .field("pacer", &self.pacer)
             .field("spend", &self.spend)
             .finish()
     }
 }
-
-/// Queries per batched pacing event (mirrors the campaign scanners).
-const PROBE_BURST: u32 = 16;
 
 impl ReflectionAttacker {
     /// Build from plans. Timer token `i` paces plan `i`.
     pub fn new(plans: Vec<ReflectionPlan>) -> Self {
         let plans = plans
             .into_iter()
-            .map(|plan| {
+            .enumerate()
+            .map(|(token, plan)| {
                 // One TXID per plan — keyed to the reply port so every
                 // plan's queries are distinct yet fully deterministic.
                 let query = Payload::from(plan.vector.build_query(plan.reply_port).encode());
+                let pacer = Pacer::keyed(plan.targets.len(), plan.inter_probe_gap, token as u64);
                 PlanState {
                     plan,
                     query,
-                    cursor: 0,
+                    pacer,
                     spend: AttackSpend::default(),
                 }
             })
@@ -220,34 +220,20 @@ impl Host for ReflectionAttacker {
         let Some(state) = self.plans.get_mut(token as usize) else {
             return;
         };
-        if state.cursor >= state.plan.targets.len() {
+        let Some((i, attempt)) = state.pacer.fire(token) else {
             return;
-        }
-        let i = state.cursor;
-        state.cursor += 1;
-        let target = state.plan.targets[i];
+        };
         state.spend.queries += 1;
         state.spend.bytes += state.query.len() as u64;
         ctx.send_udp(UdpSend {
             src: Some(state.plan.spoof_src),
             src_port: state.plan.reply_port,
-            dst: target,
+            dst: state.plan.targets[i],
             dst_port: dnswire::DNS_PORT,
             ttl: None,
             payload: state.query.clone(),
         });
-        // Batched pacing, campaign-style: one timer event per burst.
-        let remaining = state.plan.targets.len() - state.cursor;
-        if remaining > 0 && i.is_multiple_of(PROBE_BURST as usize) {
-            let gap = state.plan.inter_probe_gap;
-            ctx.set_timer_batch(
-                gap,
-                gap,
-                remaining.min(PROBE_BURST as usize) as u32,
-                token,
-                0,
-            );
-        }
+        state.pacer.arm(ctx, i, attempt);
     }
 
     netsim::impl_host_downcast!();

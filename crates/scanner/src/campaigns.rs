@@ -18,10 +18,11 @@
 //! All three emulations probe with real DNS queries through the simulator;
 //! only the *processing* differs.
 
-use dnswire::{Message, MessageBuilder, RrType};
+use crate::pacing::Pacer;
+use crate::transactional::static_probe;
+use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
-use odns::study;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// The three campaigns of Table 3.
@@ -130,55 +131,60 @@ impl CampaignReport {
         self.invalid += other.invalid;
         self.retransmits_sent += other.retransmits_sent;
     }
+
+    /// Apply the campaign's processing rules to one response from `src`
+    /// — the single definition both the live [`CampaignScanner`] and the
+    /// offline capture replay use. `probed` is the target of the probe
+    /// the response's `(port, txid)` claims to answer, if such a probe
+    /// was sent. A response needs at least one plausible A record;
+    /// sanitizing campaigns (connected-socket semantics) also require it
+    /// to come from the probed target, and Shadowserver reports whoever
+    /// answers.
+    pub fn observe(
+        &mut self,
+        campaign: Campaign,
+        src: Ipv4Addr,
+        payload: &[u8],
+        probed: Option<Ipv4Addr>,
+    ) {
+        let Ok(msg) = Message::decode(payload) else {
+            self.invalid += 1;
+            return;
+        };
+        if !msg.is_response() || msg.answer_a_addrs().is_empty() {
+            self.invalid += 1;
+        } else if campaign.sanitizes_source() && probed != Some(src) {
+            self.sanitized_out += 1;
+        } else {
+            self.odns.insert(src);
+        }
+    }
 }
 
-/// A campaign scanner host.
+/// A campaign scanner host. It sends the transactional scanner's
+/// static-name probe; only its tuple layout and its processing of answers
+/// (see [`CampaignReport::observe`]) are its own.
 #[derive(Debug)]
 pub struct CampaignScanner {
     config: CampaignConfig,
-    cursor: usize,
-    /// `(port, txid)` → probed target, for the connected-socket check.
-    sent: HashMap<(u16, u16), Ipv4Addr>,
-    /// Per-probe "response seen" flags (retry bookkeeping only — a
-    /// response stops retransmission regardless of how the campaign's
-    /// pipeline judges it). Empty when retries are disabled.
-    answered: Vec<bool>,
-    /// Per-probe transmission counts. Empty when retries are disabled.
-    attempts_sent: Vec<u8>,
+    /// Pacing, retry checks and the answered/attempts ledger.
+    pacer: Pacer,
     /// The report being accumulated.
     pub report: CampaignReport,
 }
 
-const PACE_TOKEN: u64 = u64::MAX;
-/// Retry-check tokens: `RETRY_BASE | probe_index` (pacing is matched
-/// first, so `PACE_TOKEN`'s set top bit never collides).
-const RETRY_BASE: u64 = 1 << 63;
-/// Probes paced per batched timer event (campaigns have no per-run burst
-/// knob; the census scanner's `ScanConfig::burst` default matches).
-const PROBE_BURST: u32 = 16;
-
 impl CampaignScanner {
     /// Build from config.
     pub fn new(config: CampaignConfig) -> Self {
-        config.retry.assert_valid();
-        let (answered, attempts_sent) = if config.retry.enabled() {
-            (
-                vec![false; config.targets.len()],
-                vec![0u8; config.targets.len()],
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
         CampaignScanner {
+            pacer: Pacer::new(config.targets.len(), config.inter_probe_gap, config.retry),
             config,
-            cursor: 0,
-            sent: HashMap::new(),
-            answered,
-            attempts_sent,
             report: CampaignReport::default(),
         }
     }
 
+    /// The campaign's tuple layout: the txid walks within a 65 k block,
+    /// the port advances once per block.
     fn probe_tuple(&self, index: usize) -> (u16, u16) {
         (
             (self.config.base_port as usize + (index >> 16)) as u16,
@@ -186,141 +192,38 @@ impl CampaignScanner {
         )
     }
 
-    /// The campaign's wire query for probe `index` — rebuilt for every
-    /// transmission, byte-identical across attempts.
-    fn probe_query(txid: u16) -> netsim::Payload {
-        MessageBuilder::query(txid, study::study_qname(), RrType::A)
-            .recursion_desired(true)
-            .build()
-            .encode()
-            .into()
-    }
-
-    /// Inverse of [`CampaignScanner::probe_tuple`]: mark the probe a
-    /// response maps to as answered, halting its retransmissions.
-    fn note_answer(&mut self, dst_port: u16, payload: &netsim::Payload) {
-        let Some(txid) = dnswire::peek_id(payload) else {
-            return;
-        };
-        let index =
-            (usize::from(dst_port.wrapping_sub(self.config.base_port)) << 16) | usize::from(txid);
-        if index < self.answered.len()
-            && self.attempts_sent[index] > 0
-            && self.probe_tuple(index) == (dst_port, txid)
-        {
-            self.answered[index] = true;
-        }
-    }
-
-    /// Retry-check for probe `index`: retransmit if still unanswered and
-    /// attempts remain, then arm the next check with backoff.
-    fn on_retry_check(&mut self, ctx: &mut Ctx<'_>, index: usize) {
-        let Some(&sent) = self.attempts_sent.get(index) else {
-            return;
-        };
-        if sent == 0 || self.answered[index] || sent >= self.config.retry.max_attempts {
-            return;
-        }
-        let target = self.config.targets[index];
-        let (port, txid) = self.probe_tuple(index);
-        ctx.send_udp_attempt(
-            UdpSend::new(port, target, dnswire::DNS_PORT, Self::probe_query(txid)),
-            sent,
-        );
-        let now_sent = sent + 1;
-        self.attempts_sent[index] = now_sent;
-        self.report.retransmits_sent += 1;
-        if now_sent < self.config.retry.max_attempts {
-            let delay = self.config.retry.rto_after(now_sent - 1)
-                + self.config.retry.jitter_for(index as u64, now_sent);
-            ctx.set_timer(delay, RETRY_BASE | index as u64);
-        }
+    /// Inverse of [`CampaignScanner::probe_tuple`].
+    fn probe_index(&self, dst_port: u16, txid: u16) -> usize {
+        (usize::from(dst_port.wrapping_sub(self.config.base_port)) << 16) | usize::from(txid)
     }
 }
 
 impl Host for CampaignScanner {
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: Datagram) {
-        if self.config.retry.enabled() {
-            self.note_answer(dgram.dst_port, &dgram.payload);
+        // The probe this response claims to answer, if it was sent. Any
+        // response stops that probe's retransmissions, however the
+        // campaign's pipeline judges it.
+        let index = dnswire::peek_id(&dgram.payload)
+            .map(|txid| self.probe_index(dgram.dst_port, txid))
+            .filter(|&i| self.pacer.launched(i));
+        if let Some(i) = index {
+            self.pacer.note_answer(i);
         }
-        let Ok(msg) = Message::decode(&dgram.payload) else {
-            self.report.invalid += 1;
-            return;
-        };
-        if !msg.is_response() || msg.answer_a_addrs().is_empty() {
-            // Campaigns require at least one plausible A record.
-            self.report.invalid += 1;
-            return;
-        }
-        if self.config.campaign.sanitizes_source() {
-            // Connected-socket semantics: find the probe this response
-            // claims to belong to and require the source to match it.
-            let key = (dgram.dst_port, msg.header.id);
-            match self.sent.get(&key) {
-                Some(&target) if target == dgram.src => {
-                    self.report.odns.insert(dgram.src);
-                }
-                _ => {
-                    self.report.sanitized_out += 1;
-                }
-            }
-        } else {
-            // Shadowserver: whoever answers is an ODNS component.
-            self.report.odns.insert(dgram.src);
-        }
+        let probed = index.map(|i| self.config.targets[i]);
+        self.report
+            .observe(self.config.campaign, dgram.src, &dgram.payload, probed);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == PACE_TOKEN {
-            if self.cursor < self.config.targets.len() {
-                let i = self.cursor;
-                self.cursor += 1;
-                let target = self.config.targets[i];
-                let (port, txid) = self.probe_tuple(i);
-                self.sent.insert((port, txid), target);
-                ctx.send_udp(UdpSend::new(
-                    port,
-                    target,
-                    dnswire::DNS_PORT,
-                    Self::probe_query(txid),
-                ));
-                if self.config.retry.enabled() {
-                    self.attempts_sent[i] = 1;
-                    if self.config.retry.jitter != SimDuration::ZERO {
-                        let delay = self.config.retry.rto_after(0)
-                            + self.config.retry.jitter_for(i as u64, 1);
-                        ctx.set_timer(delay, RETRY_BASE | i as u64);
-                    }
-                }
-                // One batched pacing event per burst of probes; send times
-                // are unchanged (`index · gap` past the campaign start).
-                let burst = PROBE_BURST as usize;
-                let remaining = self.config.targets.len() - self.cursor;
-                let gap = self.config.inter_probe_gap;
-                if remaining > 0 && i.is_multiple_of(burst) {
-                    ctx.set_timer_batch(gap, gap, remaining.min(burst) as u32, PACE_TOKEN, 0);
-                }
-                // Jitter-free retry checks ride the same batching as the
-                // census scanner's: the burst leader arms one batch
-                // covering itself and its burst.
-                if self.config.retry.enabled()
-                    && self.config.retry.jitter == SimDuration::ZERO
-                    && i.is_multiple_of(burst)
-                {
-                    let count = 1 + remaining.min(burst);
-                    ctx.set_timer_batch(
-                        self.config.retry.rto_after(0),
-                        gap,
-                        count as u32,
-                        RETRY_BASE | i as u64,
-                        1,
-                    );
-                }
+        if let Some((index, attempt)) = self.pacer.fire(token) {
+            let (port, txid) = self.probe_tuple(index);
+            let target = self.config.targets[index];
+            let probe = UdpSend::new(port, target, dnswire::DNS_PORT, static_probe(txid));
+            ctx.send_udp_attempt(probe, attempt);
+            if attempt > 0 {
+                self.report.retransmits_sent += 1;
             }
-            return;
-        }
-        if token & RETRY_BASE != 0 {
-            self.on_retry_check(ctx, (token ^ RETRY_BASE) as usize);
+            self.pacer.arm(ctx, index, attempt);
         }
     }
 
@@ -344,7 +247,7 @@ pub fn run_campaign_delayed(
     start_after: SimDuration,
 ) -> CampaignReport {
     sim.install(node, CampaignScanner::new(config));
-    sim.schedule_timer(node, start_after, PACE_TOKEN);
+    crate::pacing::start(sim, node, start_after);
     sim.run();
     sim.host_as::<CampaignScanner>(node)
         .expect("campaign installed")
@@ -355,9 +258,10 @@ pub fn run_campaign_delayed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnswire::{MessageBuilder, RrType};
     use netsim::testkit::playground;
     use netsim::SimConfig;
-    use odns::{RecursiveForwarder, TransparentForwarder};
+    use odns::{study, RecursiveForwarder, TransparentForwarder};
 
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
     const TRANSP: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 1);
@@ -507,6 +411,19 @@ mod tests {
         );
         // Determinism: the retried pass replays bit-identically.
         assert_eq!(retried, run(RetryPolicy::retries(3), 21));
+    }
+
+    #[test]
+    fn probe_payload_is_the_static_name_query() {
+        // Campaigns send the census scanner's static-name probe: the
+        // patched template must equal a full encode for every txid.
+        for txid in [0u16, 1, 0x00FF, 0x1234, 0x8000, 0xFFFF] {
+            let built = MessageBuilder::query(txid, study::study_qname(), RrType::A)
+                .recursion_desired(true)
+                .build()
+                .encode();
+            assert_eq!(&static_probe(txid)[..], &built[..], "txid {txid:#06x}");
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! into vendor attributions — reproducing the "23 % of transparent
 //! forwarders are MikroTik" finding.
 
-use netsim::{Ctx, Datagram, Host, IcmpMessage, NodeId, SimDuration, Simulator, UdpSend};
+use crate::pacing::Pacer;
+use netsim::{
+    Ctx, Datagram, Host, IcmpMessage, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend,
+};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -53,7 +56,8 @@ pub struct HostEvidence {
 #[derive(Debug)]
 pub struct FingerprintScanner {
     config: FingerprintConfig,
-    cursor: usize,
+    /// Paces one probe per `(target, port)` pair.
+    pacer: Pacer,
     /// The one-byte wake-up payload every probe sends, shared like the
     /// census probe template: each send is a refcount bump, not a fresh
     /// allocation.
@@ -63,23 +67,16 @@ pub struct FingerprintScanner {
     pub evidence: BTreeMap<Ipv4Addr, HostEvidence>,
 }
 
-const PACE_TOKEN: u64 = u64::MAX;
-/// Probes paced per batched timer event.
-const PROBE_BURST: u32 = 16;
-
 impl FingerprintScanner {
     /// Build from config.
     pub fn new(config: FingerprintConfig) -> Self {
+        let total = config.targets.len() * config.ports.len();
         FingerprintScanner {
+            pacer: Pacer::new(total, config.gap, RetryPolicy::none()),
             config,
-            cursor: 0,
             probe_payload: vec![0x00].into(),
             evidence: BTreeMap::new(),
         }
-    }
-
-    fn total_probes(&self) -> usize {
-        self.config.targets.len() * self.config.ports.len()
     }
 }
 
@@ -107,27 +104,13 @@ impl Host for FingerprintScanner {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token != PACE_TOKEN {
-            return;
-        }
-        if self.cursor < self.total_probes() {
-            let i = self.cursor;
-            self.cursor += 1;
+        if let Some((i, attempt)) = self.pacer.fire(token) {
             let target = self.config.targets[i / self.config.ports.len()];
             let port = self.config.ports[i % self.config.ports.len()];
             let src_port = self.config.base_port.wrapping_add((i & 0x3FFF) as u16);
-            ctx.send_udp(UdpSend::new(
-                src_port,
-                target,
-                port,
-                self.probe_payload.clone(),
-            ));
-            let burst = PROBE_BURST as usize;
-            let remaining = self.total_probes() - self.cursor;
-            if remaining > 0 && i.is_multiple_of(burst) {
-                let gap = self.config.gap;
-                ctx.set_timer_batch(gap, gap, remaining.min(burst) as u32, PACE_TOKEN, 0);
-            }
+            let payload = self.probe_payload.clone();
+            ctx.send_udp(UdpSend::new(src_port, target, port, payload));
+            self.pacer.arm(ctx, i, attempt);
         }
     }
 
@@ -141,7 +124,7 @@ pub fn run_fingerprint_scan(
     config: FingerprintConfig,
 ) -> BTreeMap<Ipv4Addr, HostEvidence> {
     sim.install(node, FingerprintScanner::new(config));
-    sim.schedule_timer(node, SimDuration::ZERO, PACE_TOKEN);
+    crate::pacing::start(sim, node, SimDuration::ZERO);
     sim.run();
     sim.host_as::<FingerprintScanner>(node)
         .expect("scanner installed")

@@ -17,7 +17,10 @@
 //!   feeding the analysis crate's amplification matrix.
 //!
 //! The classification rules live in [`mod@classify`] and are shared with the
-//! analysis crate.
+//! analysis crate. Every probing host paces and retransmits through one
+//! private engine (`pacing`); the campaigns' response rules live in
+//! [`CampaignReport::observe`], shared with the analysis crate's capture
+//! replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,7 @@ pub mod attacks;
 pub mod campaigns;
 pub mod classify;
 pub mod fingerprint;
+mod pacing;
 pub mod records;
 pub mod sensors;
 pub mod shard;
@@ -44,7 +48,7 @@ pub use fingerprint::{
 };
 pub use records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 pub use sensors::{sensor_reply_matches, HoneypotSensor, SensorAddresses, SensorKind, SensorStats};
-pub use shard::{merge_shard_records, MergeStats, ShardRecords, StreamingMerge};
+pub use shard::{merge_shard_records, ShardRecords};
 pub use transactional::{
     correlate, correlate_owned, run_scan, run_scan_raw, Correlator, ProbeNaming, ScanConfig,
     TransactionalScanner, TupleScheme,

@@ -8,6 +8,7 @@
 //! forwarders visible: their responses arrive from a *different* address
 //! than the probed one, which only a recorded transaction can reveal.
 
+use crate::pacing::Pacer;
 use crate::records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 use dnswire::{MessageBuilder, RrType};
 use netsim::{Ctx, Datagram, Host, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
@@ -16,17 +17,22 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-/// The static-naming probe query is one fixed byte string (the txid is
-/// patched per block); encode it once per process instead of once per
-/// scanner — warm sweeps build thousands of scanners.
-fn static_probe_template() -> &'static [u8] {
+/// The static-naming probe query for `txid`. Every static probe is one
+/// fixed byte string with only the txid patched in, so the query is
+/// encoded once per process and copied from there — warm sweeps build
+/// thousands of scanners.
+pub(crate) fn static_probe(txid: u16) -> netsim::Payload {
     static TEMPLATE: OnceLock<Vec<u8>> = OnceLock::new();
-    TEMPLATE.get_or_init(|| {
-        MessageBuilder::query(0, study::study_qname(), RrType::A)
-            .recursion_desired(true)
-            .build()
-            .encode()
-    })
+    let mut bytes = TEMPLATE
+        .get_or_init(|| {
+            MessageBuilder::query(0, study::study_qname(), RrType::A)
+                .recursion_desired(true)
+                .build()
+                .encode()
+        })
+        .clone();
+    bytes[0..2].copy_from_slice(&txid.to_be_bytes());
+    bytes.into()
 }
 
 /// How probe query names are chosen — the two methods of Table 2.
@@ -78,10 +84,6 @@ pub struct ScanConfig {
     /// the txid advancing once per 65 k block, so the `(port, txid)` tuple
     /// is unique for every in-flight probe.
     pub base_port: u16,
-    /// Probes paced per batched timer event (see `Ctx::set_timer_batch`).
-    /// Send times are exactly `index · inter_probe_gap` regardless of this
-    /// value — it only sets how many queue events the pacing costs.
-    pub burst: u32,
     /// Retransmission policy. The default ([`RetryPolicy::none`]) keeps
     /// the paper's single-shot behavior: no retry state is allocated and
     /// no retry timers are armed.
@@ -94,9 +96,6 @@ impl ScanConfig {
     /// uses this same constant, keeping scan and merge windows aligned.
     pub const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
-    /// Default pacing burst: one queue event per 16 probes.
-    pub const DEFAULT_BURST: u32 = 16;
-
     /// Defaults matching the paper: static naming, 20 s timeout.
     pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         ScanConfig {
@@ -106,7 +105,6 @@ impl ScanConfig {
             inter_probe_gap: SimDuration::from_micros(50),
             timeout: Self::DEFAULT_TIMEOUT,
             base_port: 33_000,
-            burst: Self::DEFAULT_BURST,
             retry: RetryPolicy::none(),
         }
     }
@@ -169,29 +167,17 @@ impl ScanConfig {
 #[derive(Debug)]
 pub struct TransactionalScanner {
     config: ScanConfig,
-    cursor: usize,
-    /// Pre-encoded probe query for static naming: every probe differs only
-    /// in its transaction ID, so the hot send path shares one patched
-    /// buffer per txid block instead of building and encoding a fresh
-    /// message (name parse, builder, compression walk) per target. Points
-    /// at the process-wide template — scanners don't even pay the encode.
-    probe_template: Option<&'static [u8]>,
+    /// Pacing, retry checks and the answered/attempts ledger.
+    pacer: Pacer,
     /// The shared payload of the current txid block. With the port-fast
-    /// tuple scheme the txid changes once per 65 536 probes, so the send
-    /// path is one `Arc` bump per probe and one 2-byte patch per block —
-    /// zero per-probe payload allocation.
+    /// tuple scheme the txid changes once per 65 536 probes, so the static
+    /// send path is one `Arc` bump per probe and one 2-byte patch per
+    /// block — zero per-probe payload allocation.
     cached_block: Option<(u16, netsim::Payload)>,
     /// Outgoing probe records.
     pub probes: Vec<ProbeRecord>,
     /// Raw response records in arrival order.
     pub responses: Vec<ResponseRecord>,
-    /// Per-probe "first answer seen" flags — retransmission stops the
-    /// moment any response for the probe's `(port, txid)` arrives. Empty
-    /// when retries are disabled (single-shot scans pay nothing).
-    answered: Vec<bool>,
-    /// Per-probe transmission counts (1 after the original send). Empty
-    /// when retries are disabled.
-    attempts_sent: Vec<u8>,
     /// `(port, txid) → probe index`, the inverse the answer path needs
     /// when tuples are target-keyed (the port-walk inverse is arithmetic).
     /// Empty unless retries are enabled under [`TupleScheme::TargetKeyed`].
@@ -200,32 +186,10 @@ pub struct TransactionalScanner {
     pub retry_stats: RetryStats,
 }
 
-/// Timer token used for probe pacing.
-const PACE_TOKEN: u64 = u64::MAX;
-
-/// Retry-check tokens occupy the top-bit half of the token space:
-/// `RETRY_BASE | probe_index`. `PACE_TOKEN` (`u64::MAX`) also has the top
-/// bit set, so pacing is matched first and probe indices stay well below
-/// the ambiguous range.
-const RETRY_BASE: u64 = 1 << 63;
-
 impl TransactionalScanner {
     /// Build from config.
     pub fn new(config: ScanConfig) -> Self {
-        config.retry.assert_valid();
-        let probes = Vec::with_capacity(config.targets.len());
-        let probe_template = match config.naming {
-            ProbeNaming::Static => Some(static_probe_template()),
-            ProbeNaming::EncodeTarget => None,
-        };
-        let (answered, attempts_sent) = if config.retry.enabled() {
-            (
-                vec![false; config.targets.len()],
-                vec![0u8; config.targets.len()],
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let pacer = Pacer::new(config.targets.len(), config.inter_probe_gap, config.retry);
         let tuple_index = if config.retry.enabled() && config.tuples == TupleScheme::TargetKeyed {
             config
                 .targets
@@ -237,34 +201,14 @@ impl TransactionalScanner {
             HashMap::new()
         };
         TransactionalScanner {
+            probes: Vec::with_capacity(config.targets.len()),
             config,
-            cursor: 0,
-            probe_template,
+            pacer,
             cached_block: None,
-            probes,
             responses: Vec::new(),
-            answered,
-            attempts_sent,
             tuple_index,
             retry_stats: RetryStats::default(),
         }
-    }
-
-    /// The shared wire payload for a static-naming probe with `txid`:
-    /// cached per 65 k block, patched from the template only when the
-    /// block changes.
-    fn block_payload(&mut self, txid: u16) -> netsim::Payload {
-        if let Some((id, payload)) = &self.cached_block {
-            if *id == txid {
-                return payload.clone();
-            }
-        }
-        let template = self.probe_template.expect("static template");
-        let mut bytes = template.to_vec();
-        bytes[0..2].copy_from_slice(&txid.to_be_bytes());
-        let payload: netsim::Payload = bytes.into();
-        self.cached_block = Some((txid, payload.clone()));
-        payload
     }
 
     /// Correlate responses to probes by `(port, txid)` within the timeout.
@@ -278,109 +222,78 @@ impl TransactionalScanner {
         outcome
     }
 
-    /// The wire payload of probe `index` — shared block buffer under
+    /// The wire payload of probe `index` — the shared block buffer under
     /// static naming, a fresh encode under query encoding. Used by both
     /// the original send and every retransmission, so a retransmitted
     /// probe is byte-identical to its original.
     fn probe_payload(&mut self, target: Ipv4Addr, txid: u16) -> netsim::Payload {
-        if self.probe_template.is_some() {
-            self.block_payload(txid)
-        } else {
+        if self.config.naming == ProbeNaming::EncodeTarget {
             let qname = study::encode_target_name(target);
-            MessageBuilder::query(txid, qname, RrType::A)
+            return MessageBuilder::query(txid, qname, RrType::A)
                 .recursion_desired(true)
                 .build()
                 .encode()
-                .into()
+                .into();
         }
-    }
-
-    fn send_probe(&mut self, ctx: &mut Ctx<'_>, index: usize) {
-        let target = self.config.targets[index];
-        let (port, txid) = self.config.tuple_for(index, target);
-        let payload = self.probe_payload(target, txid);
-        self.probes.push(ProbeRecord {
-            index,
-            target,
-            sent_at: ctx.now(),
-            src_port: port,
-            txid,
-        });
-        ctx.send_udp(UdpSend::new(port, target, dnswire::DNS_PORT, payload));
-        if self.config.retry.enabled() {
-            self.attempts_sent[index] = 1;
-            // With jitter every probe's retry check lands at its own
-            // hashed offset, so arm individually; the jitter-free case is
-            // armed in batches by the burst leader (see `on_timer`).
-            if self.config.retry.jitter != SimDuration::ZERO {
-                let delay =
-                    self.config.retry.rto_after(0) + self.config.retry.jitter_for(index as u64, 1);
-                ctx.set_timer(delay, RETRY_BASE | index as u64);
+        match &self.cached_block {
+            Some((id, payload)) if *id == txid => payload.clone(),
+            _ => {
+                let payload = static_probe(txid);
+                self.cached_block = Some((txid, payload.clone()));
+                payload
             }
         }
     }
 
-    /// A retry-check timer fired for probe `index`: if it is still
-    /// unanswered and attempts remain, retransmit the *same* `(port,
-    /// txid)` wire bytes (no new [`ProbeRecord`] — correlation sees one
-    /// transaction per probe) and arm the next check with backoff.
-    fn on_retry_check(&mut self, ctx: &mut Ctx<'_>, index: usize) {
-        let Some(&sent) = self.attempts_sent.get(index) else {
-            return;
-        };
-        if sent == 0 || self.answered[index] || sent >= self.config.retry.max_attempts {
-            return;
-        }
+    /// Transmit probe `index`: the original (recorded as a
+    /// [`ProbeRecord`]) or a retransmission of the *same* `(port, txid)`
+    /// wire bytes (not recorded — correlation sees one transaction per
+    /// probe).
+    fn send_probe(&mut self, ctx: &mut Ctx<'_>, index: usize, attempt: u8) {
         let target = self.config.targets[index];
         let (port, txid) = self.config.tuple_for(index, target);
         let payload = self.probe_payload(target, txid);
-        ctx.send_udp_attempt(UdpSend::new(port, target, dnswire::DNS_PORT, payload), sent);
-        let now_sent = sent + 1;
-        self.attempts_sent[index] = now_sent;
-        self.retry_stats.retransmits_sent += 1;
-        if now_sent < self.config.retry.max_attempts {
-            let delay = self.config.retry.rto_after(now_sent - 1)
-                + self.config.retry.jitter_for(index as u64, now_sent);
-            ctx.set_timer(delay, RETRY_BASE | index as u64);
+        if attempt == 0 {
+            self.probes.push(ProbeRecord {
+                index,
+                target,
+                sent_at: ctx.now(),
+                src_port: port,
+                txid,
+            });
+        } else {
+            self.retry_stats.retransmits_sent += 1;
         }
+        ctx.send_udp_attempt(
+            UdpSend::new(port, target, dnswire::DNS_PORT, payload),
+            attempt,
+        );
     }
 
-    /// Mark the probe a response maps to (the inverse of the configured
-    /// tuple scheme — arithmetic for the port walk, the prebuilt map for
-    /// target-keyed tuples) as answered, stopping further retransmissions
-    /// and recording the attempt histogram. Only the *first* response
-    /// counts; anything later is the correlator's business.
-    fn note_answer(&mut self, dst_port: u16, payload: &netsim::Payload) {
-        let Some(txid) = dnswire::peek_id(payload) else {
-            return;
-        };
-        let index = match self.config.tuples {
-            TupleScheme::PortWalk => {
+    /// The probe a response to `(dst_port, txid)` belongs to: the inverse
+    /// of the configured tuple scheme — arithmetic for the port walk, the
+    /// prebuilt map for target-keyed tuples.
+    fn probe_index(&self, dst_port: u16, txid: u16) -> Option<usize> {
+        match self.config.tuples {
+            TupleScheme::PortWalk => Some(
                 (usize::from(txid) << 16)
-                    | usize::from(dst_port.wrapping_sub(self.config.base_port))
-            }
-            TupleScheme::TargetKeyed => {
-                let Some(&i) = self.tuple_index.get(&(dst_port, txid)) else {
-                    return;
-                };
-                i
-            }
-        };
-        if index < self.answered.len()
-            && self.attempts_sent[index] > 0
-            && !self.answered[index]
-            && self.config.tuple_for(index, self.config.targets[index]) == (dst_port, txid)
-        {
-            self.answered[index] = true;
-            self.retry_stats.record_answered(self.attempts_sent[index]);
+                    | usize::from(dst_port.wrapping_sub(self.config.base_port)),
+            ),
+            TupleScheme::TargetKeyed => self.tuple_index.get(&(dst_port, txid)).copied(),
         }
     }
 }
 
 impl Host for TransactionalScanner {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+        // Only the first response for a probe counts toward the attempt
+        // histogram; anything later is the correlator's business.
         if self.config.retry.enabled() {
-            self.note_answer(dgram.dst_port, &dgram.payload);
+            let index = dnswire::peek_id(&dgram.payload)
+                .and_then(|txid| self.probe_index(dgram.dst_port, txid));
+            if let Some(attempts) = index.and_then(|i| self.pacer.note_answer(i)) {
+                self.retry_stats.record_answered(attempts);
+            }
         }
         self.responses.push(ResponseRecord {
             received_at: ctx.now(),
@@ -391,45 +304,9 @@ impl Host for TransactionalScanner {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == PACE_TOKEN {
-            if self.cursor < self.config.targets.len() {
-                let i = self.cursor;
-                self.cursor += 1;
-                self.send_probe(ctx, i);
-                // Batched pacing: a single bootstrap timer fires probe 0;
-                // the first probe of each burst arms one timer batch
-                // covering the rest of the burst. Send times stay exactly
-                // `index · gap`, and any legacy single-timer bootstrap
-                // still drives a full scan.
-                let burst = self.config.burst.max(1) as usize;
-                let remaining = self.config.targets.len() - self.cursor;
-                let gap = self.config.inter_probe_gap;
-                if remaining > 0 && i.is_multiple_of(burst) {
-                    ctx.set_timer_batch(gap, gap, remaining.min(burst) as u32, PACE_TOKEN, 0);
-                }
-                // Jitter-free retries ride the same batching: the burst
-                // leader arms one retry-check batch covering itself and
-                // its burst, each check landing exactly `initial_rto`
-                // after the probe it guards (send times are `index·gap`,
-                // so a stride of `gap` keeps the offsets aligned).
-                if self.config.retry.enabled()
-                    && self.config.retry.jitter == SimDuration::ZERO
-                    && i.is_multiple_of(burst)
-                {
-                    let count = 1 + remaining.min(burst);
-                    ctx.set_timer_batch(
-                        self.config.retry.rto_after(0),
-                        gap,
-                        count as u32,
-                        RETRY_BASE | i as u64,
-                        1,
-                    );
-                }
-            }
-            return;
-        }
-        if token & RETRY_BASE != 0 {
-            self.on_retry_check(ctx, (token ^ RETRY_BASE) as usize);
+        if let Some((index, attempt)) = self.pacer.fire(token) {
+            self.send_probe(ctx, index, attempt);
+            self.pacer.arm(ctx, index, attempt);
         }
     }
 
@@ -575,7 +452,7 @@ pub fn run_scan_raw(
     config: ScanConfig,
 ) -> (Vec<ProbeRecord>, Vec<ResponseRecord>, RetryStats) {
     sim.install(node, TransactionalScanner::new(config));
-    sim.schedule_timer(node, SimDuration::ZERO, PACE_TOKEN);
+    crate::pacing::start(sim, node, SimDuration::ZERO);
     sim.run();
     // The scanner is done; move the streams out rather than copying
     // every payload (these vectors are the bulk of a shard's memory).
